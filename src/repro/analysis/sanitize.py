@@ -188,6 +188,9 @@ class Monitor:
         stream.add(f"{time!r}|{seq}|{type(event).__name__}", self.events)
         self.events += 1
 
+    def end_loop(self) -> None:
+        """Race groups close on the next timestamp or in :meth:`finish`."""
+
     # -- race detector ------------------------------------------------------
 
     def note_mutation(self, obj: Any, op: str) -> None:
@@ -393,6 +396,7 @@ class SanitizeSession:
             label=f"{label}#{len(self.monitors)}", candidates=self.candidates
         )
         env.monitor = monitor
+        env.observe(monitor)
         self.monitors.append(monitor)
         return monitor
 

@@ -18,7 +18,7 @@ import time as _time
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import CounterInstrument, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["ObsContext", "SelfProfile", "Capture", "attach", "capture",
@@ -32,11 +32,34 @@ class SelfProfile:
     long the Python event loop spends executing each event class, so hot
     paths of the simulator itself can be found.  It never feeds into
     spans, metrics, or anything else that must be deterministic.
+
+    Attached by :meth:`ObsContext.enable_profile` as an engine observer:
+    the host time between two consecutive ``note_event`` calls (or
+    between the last one and ``end_loop``) is charged to the class of
+    the earlier event, and ``steps`` (the ``sim.events`` counter) counts
+    dispatched events.
     """
 
     def __init__(self) -> None:
         self.wall_s: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
+        #: The ``sim.events`` counter; bound before the profile is attached.
+        self.steps: Optional[CounterInstrument] = None
+        self._open: Optional[str] = None  # class of the event being timed
+        self._t0 = 0.0
+
+    def note_event(self, time: float, seq: int, event) -> None:
+        now = _time.perf_counter()
+        if self._open is not None:
+            self.add(self._open, now - self._t0)
+        self._open = type(event).__name__
+        self._t0 = now
+        self.steps.add(1)
+
+    def end_loop(self) -> None:
+        if self._open is not None:
+            self.add(self._open, _time.perf_counter() - self._t0)
+            self._open = None
 
     def add(self, key: str, wall: float, count: int = 1) -> None:
         self.wall_s[key] = self.wall_s.get(key, 0.0) + wall
@@ -56,8 +79,9 @@ class ObsContext:
         self.label = label
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(env) if tracing else NULL_TRACER
-        self.profile = profile
         self.selfprof = SelfProfile()
+        if profile:
+            self.enable_profile()
         if telemetry:
             self.enable_telemetry()
 
@@ -70,12 +94,19 @@ class ObsContext:
             self.tracer = Tracer(self.env)
         return self.tracer
 
+    def enable_profile(self) -> SelfProfile:
+        """Attach wall-clock self-profiling of the event loop (idempotent)."""
+        self.selfprof.steps = self.metrics.counter("sim.events")
+        self.env.observe(self.selfprof)
+        return self.selfprof
+
     def enable_telemetry(self):
         """Attach deterministic engine self-telemetry (idempotent)."""
         if self.env.telemetry is None:
             from repro.sim.engine import EngineTelemetry
 
             self.env.telemetry = EngineTelemetry()
+            self.env.observe(self.env.telemetry)
         return self.env.telemetry
 
     def publish_telemetry(self) -> None:
@@ -190,7 +221,7 @@ def attach(env, label: str = "run", tracing: Optional[bool] = None,
         if tracing:
             ctx.enable_tracing()
         if profile:
-            ctx.profile = True
+            ctx.enable_profile()
         if telemetry:
             ctx.enable_telemetry()
     return ctx

@@ -4,18 +4,33 @@ The kernel follows the classic event-list design: a binary heap of
 ``(time, sequence, event)`` entries. Ties in time break by insertion
 sequence, which makes every simulation run deterministic — an invariant
 the reproduction relies on (all tables must be bit-for-bit repeatable).
+
+Every entry point — :meth:`Environment.run`, :meth:`~Environment.run_window`,
+:meth:`~Environment.step` and :meth:`~Environment.run_until_complete` —
+drives the same private dispatch loop.  Instrumentation composes through
+one :class:`Observer` protocol: ``env.observe(obj)`` appends to the
+``env.observers`` tuple, the loop calls ``note_event(time, seq, event)``
+on each observer after popping an event and before its callbacks, and
+``end_loop()`` once whenever the loop returns.  The sanitizer monitor,
+:class:`EngineTelemetry` and the ``--profile`` self-profile are such
+observers; any subset may be attached at once.  Observers are pure
+bookkeeping — they never create events or read the simulated clock — so
+the event stream is identical with or without them, and with none
+attached the loop pays one truth test per event.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+import math
+from typing import Any, Callable, Generator, Iterable, List, Optional, Protocol, Tuple
 
 from repro.errors import SimulationError
 
 __all__ = [
     "Environment",
     "EngineTelemetry",
+    "Observer",
     "Event",
     "Timeout",
     "Process",
@@ -25,6 +40,18 @@ __all__ = [
 ]
 
 
+class Observer(Protocol):
+    """Per-event hook attached with :meth:`Environment.observe`."""
+
+    __slots__ = ()
+
+    def note_event(self, time: float, seq: int, event: "Event") -> None:
+        """Called after each pop, before the event's callbacks run."""
+
+    def end_loop(self) -> None:
+        """Called once each time a dispatch loop returns."""
+
+
 class EngineTelemetry:
     """Deterministic hot-loop counters for the engine itself.
 
@@ -32,9 +59,10 @@ class EngineTelemetry:
     traffic, coroutine resumes, and fair-share re-rates.  Every value is
     a pure function of the event stream, so the same seed produces the
     same counters on any host and at any shard count — the merge layer
-    can sum them bit-identically.  Attached via ``repro.obs.attach(...,
-    telemetry=True)`` (the ``repro profile`` CLI path); when absent the
-    engine pays one attribute read per dispatch and nothing more.
+    can sum them bit-identically.  Attached as an :class:`Observer` via
+    ``repro.obs.attach(..., telemetry=True)`` (the ``repro profile`` CLI
+    path); ``Process`` and ``FairShareServer`` bump the other counters
+    through ``env.telemetry``.
     """
 
     __slots__ = ("dispatch", "heap_pops", "resumes", "fairshare_recomputes",
@@ -48,10 +76,13 @@ class EngineTelemetry:
         self.fairshare_flows = 0
         self._published = False
 
-    def note_dispatch(self, event: "Event") -> None:
+    def note_event(self, time: float, seq: int, event: "Event") -> None:
         name = type(event).__name__
         self.dispatch[name] = self.dispatch.get(name, 0) + 1
         self.heap_pops += 1
+
+    def end_loop(self) -> None:
+        """Counters need no flush."""
 
     def publish(self, metrics: Any, env: "Environment") -> None:
         """Fold the counters into a metrics registry (idempotent).
@@ -228,8 +259,9 @@ class Process(Event):
             if target.callbacks is not None and self._resume in target.callbacks:
                 target.callbacks.remove(self._resume)
         kick = Event(self.env)
-        kick.callbacks.append(lambda _ev: self._step_throw(Interrupt(cause)))
+        kick.callbacks.append(self._resume)
         kick._triggered = True
+        kick._exc = Interrupt(cause)
         self.env._schedule(kick, 0.0)
 
     # -- stepping -----------------------------------------------------------
@@ -249,21 +281,6 @@ class Process(Event):
             return
         except BaseException as exc:  # noqa: BLE001 - must surface model errors
             self._fail_process(exc)
-            return
-        self._wait_on(target)
-
-    def _step_throw(self, exc: BaseException) -> None:
-        self._waiting_on = None
-        telemetry = self.env.telemetry
-        if telemetry is not None:
-            telemetry.resumes += 1
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except BaseException as err:  # noqa: BLE001
-            self._fail_process(err)
             return
         self._wait_on(target)
 
@@ -355,23 +372,29 @@ class AllOf(_Condition):
 class Environment:
     """The simulation clock and event queue."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_failures", "_active", "obs",
-                 "monitor", "telemetry")
+    __slots__ = ("_now", "_queue", "_seq", "_failures", "obs", "monitor",
+                 "telemetry", "observers")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[tuple] = []
         self._seq = 0
         self._failures: List[tuple] = []
-        self._active = 0  # events scheduled but not yet processed
         self.obs = None  # ObsContext, attached by repro.obs.attach()
         self.monitor = None  # sanitizer Monitor (repro.analysis.sanitize)
         self.telemetry: Optional[EngineTelemetry] = None  # repro.obs.attach(telemetry=True)
+        #: Per-event observers, in attach order; filled only by observe().
+        self.observers: Tuple[Observer, ...] = ()
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    def observe(self, observer: Observer) -> None:
+        """Attach ``observer`` to every later dispatch loop (idempotent)."""
+        if observer not in self.observers:
+            self.observers += (observer,)
 
     # -- factories ----------------------------------------------------------
 
@@ -430,30 +453,48 @@ class Environment:
 
     # -- main loop -----------------------------------------------------------
 
+    def _loop(self, limit: float, stop: Optional[Event] = None) -> None:
+        """The one dispatch loop: process events with ``t <= limit``.
+
+        Returns when the queue drains, the next event lies beyond
+        ``limit``, or ``stop`` has triggered after a dispatch.  Raises
+        the exception of any process that failed with nobody waiting on
+        it — silent process death would corrupt results.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        observers = self.observers
+        try:
+            while queue:
+                time = queue[0][0]
+                if time > limit:
+                    break
+                if time < self._now - 1e-12:
+                    raise SimulationError("time went backwards (scheduler bug)")
+                _time, seq, event = pop(queue)
+                if time > self._now:
+                    self._now = time
+                if observers:
+                    for observer in observers:
+                        observer.note_event(time, seq, event)
+                event._run_callbacks()
+                if self._failures:
+                    self._raise_orphans()
+                if stop is not None and stop._triggered:
+                    break
+        finally:
+            for observer in observers:
+                observer.end_loop()
+        if self._failures:
+            self._raise_orphans()
+
     def step(self) -> None:
         """Process the single next event."""
         if not self._queue:
             raise SimulationError("step() on empty event queue")
-        time, _seq, event = heapq.heappop(self._queue)
-        if time < self._now - 1e-12:
-            raise SimulationError("time went backwards (scheduler bug)")
-        self._now = max(self._now, time)
-        if self.monitor is not None:
-            self.monitor.note_event(time, _seq, event)
-        if self.telemetry is not None:
-            self.telemetry.note_dispatch(event)
-        obs = self.obs
-        if obs is not None and obs.profile:
-            import time as _time
-
-            t0 = _time.perf_counter()  # detlint: ignore[DET001]
-            event._run_callbacks()
-            obs.selfprof.add(
-                type(event).__name__,
-                _time.perf_counter() - t0)  # detlint: ignore[DET001]
-            obs.metrics.counter("sim.events").add(1)
-        else:
-            event._run_callbacks()
+        once = Event(self)
+        once._triggered = True
+        self._loop(math.inf, stop=once)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches ``until``.
@@ -462,33 +503,7 @@ class Environment:
         waiting on it — silent process death would corrupt results.
         Returns the final simulation time.
         """
-        obs = self.obs
-        if obs is not None and obs.profile:
-            return self._run_profiled(until, obs)
-        if self.monitor is not None:
-            return self._run_monitored(until, self.monitor)
-        if self.telemetry is not None:
-            return self._run_telemetry(until, self.telemetry)
-        # Hot loop: the pop/dispatch below is step() inlined (identical
-        # ordering), with the orphan check guarded so the common case
-        # costs one truth test instead of a call per event.
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
-                self._now = until
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            event = pop(queue)[2]
-            if time > self._now:
-                self._now = time
-            event._run_callbacks()
-            if self._failures:
-                self._raise_orphans()
-        if self._failures:
-            self._raise_orphans()
+        self._loop(math.inf if until is None else until)
         if until is not None and self._now < until:
             self._now = until
         return self._now
@@ -504,148 +519,20 @@ class Environment:
         to the next window, after message exchange — and the clock is
         not advanced past the last processed event.
         """
-        queue = self._queue
-        pop = heapq.heappop
-        telemetry = self.telemetry
-        while queue:
-            time = queue[0][0]
-            if time >= horizon:
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            event = pop(queue)[2]
-            if time > self._now:
-                self._now = time
-            if telemetry is not None:
-                telemetry.note_dispatch(event)
-            event._run_callbacks()
-            if self._failures:
-                self._raise_orphans()
-        if self._failures:
-            self._raise_orphans()
+        # For floats, t >= horizon  <=>  t > nextafter(horizon, -inf).
+        self._loop(math.nextafter(horizon, -math.inf))
         return self._now
 
-    def _run_monitored(self, until: Optional[float], monitor: Any) -> float:
-        """run() with the sanitizer monitor's per-event hook.
-
-        Taken only when a :mod:`repro.analysis.sanitize` Monitor is
-        attached.  Event ordering and the final clock are *identical* to
-        :meth:`run` — the hook is pure bookkeeping (stream hashing, race
-        grouping) and never creates events or reads the clock.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        note = monitor.note_event
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
-                self._now = until
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            _time_popped, seq, event = pop(queue)
-            if time > self._now:
-                self._now = time
-            note(time, seq, event)
-            event._run_callbacks()
-            if self._failures:
-                self._raise_orphans()
-        if self._failures:
-            self._raise_orphans()
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-    def _run_telemetry(self, until: Optional[float],
-                       telemetry: EngineTelemetry) -> float:
-        """run() with the deterministic self-telemetry dispatch hook.
-
-        Taken when an :class:`EngineTelemetry` is attached (the
-        ``repro profile`` path).  Event ordering and the final clock are
-        *identical* to :meth:`run` — the hook is pure integer counting
-        (no wall clock, no allocation beyond the per-class dict) and
-        never creates events, so pinned baselines hold with it on.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        note = telemetry.note_dispatch
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
-                self._now = until
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            event = pop(queue)[2]
-            if time > self._now:
-                self._now = time
-            note(event)
-            event._run_callbacks()
-            if self._failures:
-                self._raise_orphans()
-        if self._failures:
-            self._raise_orphans()
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-    def _run_profiled(self, until: Optional[float], obs: Any) -> float:
-        """run() with per-event-class wall-clock self-profiling.
-
-        Taken only when ``env.obs.profile`` is set (the ``--metrics``
-        CLI flag).  Event *ordering* and the final clock are identical
-        to :meth:`run`; the only additions are a step counter in the
-        metrics registry and HOST wall-clock attribution per event
-        class in ``obs.selfprof`` — a separate channel that never feeds
-        back into simulated time.
-        """
-        import time as _time
-
-        queue = self._queue
-        pop = heapq.heappop
-        perf = _time.perf_counter
-        selfprof = obs.selfprof
-        steps = obs.metrics.counter("sim.events")
-        loop_t0 = perf()
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
-                self._now = until
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            event = pop(queue)[2]
-            if time > self._now:
-                self._now = time
-            t0 = perf()
-            event._run_callbacks()
-            selfprof.add(type(event).__name__, perf() - t0)
-            steps.add(1)
-            if self._failures:
-                self._raise_orphans()
-        selfprof.add("Environment.run", perf() - loop_t0)
-        if self._failures:
-            self._raise_orphans()
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-    def run_until_complete(self, event: Event, limit: float = float("inf")) -> Any:
+    def run_until_complete(self, event: Event, limit: float = math.inf) -> Any:
         """Run until ``event`` triggers; convenience for tests and drivers."""
-        queue = self._queue
-        while not event.triggered:
-            if not queue:
-                raise SimulationError("event can never trigger: queue empty")
-            if queue[0][0] > limit:
+        if not event._triggered:
+            self._loop(limit, stop=event)
+            if not event._triggered:
+                if not self._queue:
+                    raise SimulationError("event can never trigger: queue empty")
                 raise SimulationError(f"event did not trigger before t={limit}")
-            self.step()
-            if self._failures:
-                self._raise_orphans()
         # Drain same-time callbacks so the event is fully processed.
-        while queue and queue[0][0] <= self._now:
-            self.step()
-            if self._failures:
-                self._raise_orphans()
+        self._loop(self._now)
         return event.value
 
     def _raise_orphans(self) -> None:

@@ -2,45 +2,27 @@
 
 The monitor is pure bookkeeping — attaching it must not add, drop, or
 reorder a single event. This pins the monitored fig7a reference workload
-to the same 439-event / makespan baseline as ``tests/obs/test_overhead``
-(measured on the seed tree, before any instrumentation existed).
+to its golden makespan, event count and per-layer event-stream digests
+(``tests/golden/fig7a_ref.json``, recorded before any instrumentation
+refactor).
 """
 
 from repro.analysis.sanitize import sanitized_run, session
-from repro.bench.harness import dump_files
-from repro.core.config import RuntimeConfig
-from repro.systems import build
-from repro.units import KiB, MiB
-
-_BASELINE_EVENTS = 439
-_BASELINE_MAKESPAN = 0.06173009922862135
-
-
-def _fig7a_fleet():
-    config = RuntimeConfig(
-        log_region_bytes=MiB(4), state_region_bytes=MiB(16),
-        hugeblock_bytes=KiB(32),
-    )
-    return build("microfs", nprocs=4, config=config,
-                 partition_bytes=2 * MiB(32) + MiB(64), seed=2)
+from tests.conftest import FIG7A_REF, fig7a_run
 
 
 def test_monitored_run_is_bit_identical_to_baseline():
     with session() as s:
-        fleet = _fig7a_fleet()  # registry attaches the monitor
-        makespan = fleet.makespan(dump_files(MiB(32)))
-    assert makespan == _BASELINE_MAKESPAN
+        makespan = fig7a_run()  # registry attaches the monitor
+    assert makespan == FIG7A_REF["makespan_s"]
     (monitor,) = s.monitors
-    assert monitor.events == _BASELINE_EVENTS
+    assert monitor.events == FIG7A_REF["events"]
+    assert monitor.digests() == FIG7A_REF["layer_digests"]
     assert s.finish() == []  # no leaks, no races
 
 
 def test_sanitized_double_run_passes_and_reproduces_baseline():
-    def run():
-        fleet = _fig7a_fleet()
-        return fleet.makespan(dump_files(MiB(32)))
-
-    makespan, report = sanitized_run(run)
-    assert makespan == _BASELINE_MAKESPAN
+    makespan, report = sanitized_run(fig7a_run)
+    assert makespan == FIG7A_REF["makespan_s"]
     assert report.ok, report.render()
-    assert sum(m.events for m in report.run1.monitors) == _BASELINE_EVENTS
+    assert sum(m.events for m in report.run1.monitors) == FIG7A_REF["events"]

@@ -1,15 +1,57 @@
-"""Shared fixtures: a single-SSD microfs rig used across core tests."""
+"""Shared fixtures: a single-SSD microfs rig used across core tests, and
+the fig7a reference workload with its golden results."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.bench.harness import dump_files
 from repro.core.config import RuntimeConfig
 from repro.core.data_plane import DataPlane
 from repro.core.microfs.fs import MicroFS
+from repro.exec import ExecutionPlan, SimUnit
 from repro.fabric.transport import LocalPCIeTransport
 from repro.nvme import SSD, SSDSpec, intel_p4800x
 from repro.sim import Environment
-from repro.units import GiB, MiB
+from repro.systems import build
+from repro.units import GiB, KiB, MiB
+
+#: Pinned results of the fig7a reference workload: makespan, dispatched
+#: events, per-layer sanitizer ``Monitor.digests()``, and the merged
+#: fingerprint of :func:`fig7a_unit_plan`.
+FIG7A_REF = json.loads(
+    (Path(__file__).parent / "golden" / "fig7a_ref.json").read_text())
+
+FIG7A_FILE_BYTES = MiB(32)
+
+
+def fig7a_fleet():
+    """The fig7a reference fleet: 4 MicroFS ranks, 32 KiB hugeblocks, seed 2."""
+    config = RuntimeConfig(
+        log_region_bytes=MiB(4), state_region_bytes=MiB(16),
+        hugeblock_bytes=KiB(32),
+    )
+    return build("microfs", nprocs=4, config=config,
+                 partition_bytes=2 * FIG7A_FILE_BYTES + MiB(64), seed=2)
+
+
+def fig7a_run():
+    """Build the reference fleet and return its one-dump makespan."""
+    return fig7a_fleet().makespan(dump_files(FIG7A_FILE_BYTES))
+
+
+def fig7a_unit_plan():
+    """The reference workload as a one-unit ``_fig7a_unit`` plan."""
+    unit = SimUnit(
+        index=0, label="fig7a/pin",
+        fn="repro.bench.experiments:_fig7a_unit",
+        params={"block": KiB(32), "nprocs": 4,
+                "file_bytes": FIG7A_FILE_BYTES, "seed": 2},
+    )
+    return ExecutionPlan(title="fig7a-pin", units=[unit],
+                         reduce=lambda rs: rs[0].payload)
 
 
 def deterministic_spec(**overrides) -> SSDSpec:

@@ -21,7 +21,7 @@ from repro.exec import (
 from repro.exec.executors import assign_units
 from repro.exec.merge import merge_spans
 from repro.exec.plan import UnitResult
-from repro.units import KiB, MiB
+from tests.conftest import FIG7A_REF, fig7a_unit_plan
 
 
 def _plan(seeds, steps=4):
@@ -183,20 +183,12 @@ def test_make_executor_routing():
 
 
 def test_fig7a_pinned_baseline_through_sharded_path():
-    """The 439-event / 0.06173...s reference workload (see
-    tests/obs/test_overhead.py) must survive the plan refactor bit-for-bit
-    on every backend."""
-    unit = SimUnit(
-        index=0, label="fig7a/pin",
-        fn="repro.bench.experiments:_fig7a_unit",
-        params={"block": KiB(32), "nprocs": 4, "file_bytes": MiB(32),
-                "seed": 2},
-    )
-    plan = ExecutionPlan(title="fig7a-pin", units=[unit],
-                         reduce=lambda rs: rs[0].payload)
+    """The fig7a reference workload (``tests/golden/fig7a_ref.json``)
+    survives the plan refactor bit-for-bit on every backend."""
+    plan = fig7a_unit_plan()
     in_process = InProcessExecutor().execute(plan)
     forked = ShardedExecutor(2, start_method="fork").execute(plan)
-    assert in_process.value["time_s"] == 0.06173009922862135
-    assert in_process.merged.events_scheduled == 439
+    assert in_process.value["time_s"] == FIG7A_REF["makespan_s"]
+    assert in_process.merged.fingerprint == FIG7A_REF["merged_fingerprint"]
     assert forked.merged.fingerprint == in_process.merged.fingerprint
     assert forked.value["time_s"] == in_process.value["time_s"]

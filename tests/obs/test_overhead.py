@@ -3,9 +3,10 @@
 Two acceptance claims from the subsystem design:
 
 * near-zero cost when disabled — the instrumented build must schedule
-  exactly the same events as the pre-instrumentation baseline (439 for
-  the fig7a-style reference workload), and a run with observability
-  attached must not be materially slower than one without;
+  exactly the same events as the pre-instrumentation baseline (the fig7a
+  reference workload pinned in ``tests/golden/fig7a_ref.json``), and a
+  run with observability attached must not be materially slower than
+  one without;
 * the paper's "< 3.5% NVMf overhead" (§IV-F) must be *measurable from
   span data alone*: summing the ``nvmf.rtt`` fabric-wait spans of a
   remote run reproduces the remote-vs-local makespan delta.
@@ -20,32 +21,17 @@ from repro.bench.harness import dump_files
 from repro.core.config import RuntimeConfig
 from repro.obs.export import total_duration
 from repro.systems import build
-from repro.units import KiB, MiB
-
-# Measured on the seed tree (PR 2), before any instrumentation existed:
-# microfs fleet, nprocs=4, seed=2, 32 MiB dumps -> 439 events,
-# makespan 0.06173009922862135.
-_BASELINE_EVENTS = 439
-_BASELINE_MAKESPAN = 0.06173009922862135
-
-
-def _fig7a_fleet():
-    config = RuntimeConfig(
-        log_region_bytes=MiB(4), state_region_bytes=MiB(16),
-        hugeblock_bytes=KiB(32),
-    )
-    return build("microfs", nprocs=4, config=config,
-                 partition_bytes=2 * MiB(32) + MiB(64), seed=2)
+from repro.units import MiB
+from tests.conftest import FIG7A_FILE_BYTES, FIG7A_REF, fig7a_fleet, fig7a_run
 
 
 def test_disabled_tracer_adds_no_events():
     """Event count and makespan are bit-identical to the seed baseline."""
     with obs.capture(profile=True) as cap:
-        fleet = _fig7a_fleet()
-        makespan = fleet.makespan(dump_files(MiB(32)))
-    assert makespan == _BASELINE_MAKESPAN
+        makespan = fig7a_run()
+    assert makespan == FIG7A_REF["makespan_s"]
     events = cap.contexts[0].metrics.counter("sim.events").value
-    assert events == _BASELINE_EVENTS
+    assert events == FIG7A_REF["events"]
     # Self-profile lives in its own labelled channel, never in spans.
     assert cap.contexts[0].selfprof.wall_s
     assert cap.n_spans() == 0
@@ -56,16 +42,16 @@ def test_disabled_observability_wall_cost():
     """Runs with obs attached (tracing off) stay near the plain-run cost."""
 
     def run_plain():
-        fleet = _fig7a_fleet()
+        fleet = fig7a_fleet()
         fleet.env.obs = None  # sever observability entirely
         t0 = time.perf_counter()
-        fleet.makespan(dump_files(MiB(32)))
+        fleet.makespan(dump_files(FIG7A_FILE_BYTES))
         return time.perf_counter() - t0
 
     def run_attached():
-        fleet = _fig7a_fleet()  # registry attach, NULL_TRACER
+        fleet = fig7a_fleet()  # registry attach, NULL_TRACER
         t0 = time.perf_counter()
-        fleet.makespan(dump_files(MiB(32)))
+        fleet.makespan(dump_files(FIG7A_FILE_BYTES))
         return time.perf_counter() - t0
 
     for fn in (run_plain, run_attached):  # warm caches

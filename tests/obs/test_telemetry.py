@@ -12,26 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.bench.harness import dump_files
-from repro.core.config import RuntimeConfig
+from repro.analysis.sanitize import session
 from repro.exec import ExecutionPlan, ShardedExecutor, SimUnit
-from repro.systems import build
 from repro.units import KiB, MiB
-
-_BASELINE_EVENTS = 439
-_BASELINE_MAKESPAN = 0.06173009922862135
-
-
-def _fig7a_run():
-    config = RuntimeConfig(
-        log_region_bytes=MiB(4), state_region_bytes=MiB(16),
-        hugeblock_bytes=KiB(32),
-    )
-    fleet = build(
-        "microfs", nprocs=4, config=config,
-        partition_bytes=2 * MiB(32) + MiB(64), seed=2,
-    )
-    return fleet.makespan(dump_files(MiB(32)))
+from tests.conftest import FIG7A_REF, fig7a_run
 
 
 def _engine_counters(ctx):
@@ -41,15 +25,15 @@ def _engine_counters(ctx):
 
 def test_telemetry_counters_match_engine_accounting():
     with obs.capture(telemetry=True) as cap:
-        makespan = _fig7a_run()
-    assert makespan == _BASELINE_MAKESPAN
+        makespan = fig7a_run()
+    assert makespan == FIG7A_REF["makespan_s"]
     ctx = cap.contexts[0]
     env = ctx.env
     counters = _engine_counters(ctx)
     # Heap traffic reconciles exactly with the engine's own counter.
     assert counters["engine.heap.pushes"] == env.events_scheduled
     assert counters["engine.heap.pops"] == counters["engine.heap.pushes"]
-    assert counters["engine.heap.pushes"] == _BASELINE_EVENTS
+    assert counters["engine.heap.pushes"] == FIG7A_REF["events"]
     # Every pop dispatches exactly one event: class counts sum to pops.
     dispatched = sum(
         v for k, v in counters.items() if k.startswith("engine.dispatch.")
@@ -62,7 +46,7 @@ def test_telemetry_counters_match_engine_accounting():
 
 def test_telemetry_publish_is_idempotent():
     with obs.capture(telemetry=True) as cap:
-        _fig7a_run()
+        fig7a_run()
     ctx = cap.contexts[0]
     once = _engine_counters(ctx)
     # A second publish must not double-count.
@@ -73,16 +57,41 @@ def test_telemetry_publish_is_idempotent():
 
 def test_telemetry_off_means_no_engine_counters():
     with obs.capture(telemetry=False) as cap:
-        makespan = _fig7a_run()
-    assert makespan == _BASELINE_MAKESPAN
+        makespan = fig7a_run()
+    assert makespan == FIG7A_REF["makespan_s"]
     assert _engine_counters(cap.contexts[0]) == {}
+
+
+def test_telemetry_composes_with_the_sanitizer_monitor():
+    """Both observers see every event when attached together."""
+    with obs.capture(telemetry=True) as cap, session() as s:
+        makespan = fig7a_run()
+    assert makespan == FIG7A_REF["makespan_s"]
+    counters = _engine_counters(cap.contexts[0])
+    assert counters["engine.heap.pops"] == FIG7A_REF["events"]
+    assert counters["engine.heap.pushes"] == FIG7A_REF["events"]
+    (monitor,) = s.monitors
+    assert monitor.events == FIG7A_REF["events"]
+    assert monitor.digests() == FIG7A_REF["layer_digests"]
+
+
+def test_profile_composes_with_telemetry():
+    """``--metrics`` self-profiling and telemetry both fill their counters."""
+    with obs.capture(profile=True, telemetry=True) as cap:
+        fig7a_run()
+    ctx = cap.contexts[0]
+    flat = ctx.flat_extra()
+    assert flat["sim.events"] == FIG7A_REF["events"]
+    dispatched = sum(v for k, v in flat.items() if k.startswith("engine.dispatch."))
+    assert dispatched == FIG7A_REF["events"]
+    assert sum(ctx.selfprof.calls.values()) == FIG7A_REF["events"]
 
 
 def test_telemetry_does_not_perturb_the_simulation():
     with obs.capture(telemetry=True):
-        with_telemetry = _fig7a_run()
-    plain = _fig7a_run()
-    assert with_telemetry == plain == _BASELINE_MAKESPAN
+        with_telemetry = fig7a_run()
+    plain = fig7a_run()
+    assert with_telemetry == plain == FIG7A_REF["makespan_s"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, FairShareServer, Resource
+from repro import obs
+from repro.analysis.sanitize import SanitizeSession
+from repro.sim import Environment, FairShareServer, Interrupt, Resource
 
 
 @settings(max_examples=50, deadline=None)
@@ -113,3 +115,110 @@ def test_deterministic_replay(seed_ops):
         return trace
 
     assert build() == build()
+
+
+# -- observer composition -----------------------------------------------------
+
+_delay = st.floats(0.0, 2.0)
+_op = st.one_of(
+    st.tuples(st.just("timeout"), _delay),
+    st.tuples(st.just("join"), st.integers(0, 7)),
+    st.tuples(st.just("all"), st.lists(_delay, max_size=3)),
+    st.tuples(st.just("any"), st.lists(_delay, min_size=1, max_size=3)),
+    st.tuples(st.just("interrupt"), st.integers(0, 7)),
+)
+_workloads = st.lists(st.lists(_op, max_size=4), min_size=1, max_size=6)
+_OBSERVERS = ("monitor", "telemetry", "profile")
+_SUBSETS = [tuple(name for bit, name in enumerate(_OBSERVERS) if mask >> bit & 1)
+            for mask in range(1 << len(_OBSERVERS))]
+
+
+def _drive(env, procs, mode):
+    if mode == "run":
+        env.run()
+    elif mode == "until":
+        env.run(until=0.5)
+        env.run()
+    elif mode == "window":
+        horizon = 0.0
+        while env.peek() is not None:
+            horizon += 0.375
+            env.run_window(horizon)
+    elif mode == "step":
+        while env.peek() is not None:
+            env.step()
+    else:
+        env.run_until_complete(procs[0])
+        env.run()
+
+
+def _observed_run(workload, subset, mode):
+    """Run ``workload`` with the ``subset`` observers attached; return the
+    clock, scheduled events, process trace (with any error the run
+    raised), and each observer's output."""
+    env = Environment()
+    sanitize = SanitizeSession()
+    if "monitor" in subset:
+        sanitize.attach(env)
+    ctx = obs.attach(env, profile="profile" in subset,
+                     telemetry="telemetry" in subset)
+    trace = []
+    procs = []
+
+    def body(i, ops):
+        for kind, arg in ops:
+            try:
+                if kind == "timeout":
+                    yield env.timeout(arg)
+                elif kind == "join" and i:
+                    yield procs[arg % i]
+                elif kind in ("all", "any"):
+                    children = [env.timeout(d) for d in arg]
+                    join = env.all_of if kind == "all" else env.any_of
+                    yield join(children)
+                elif kind == "interrupt":
+                    target = procs[arg % len(procs)]
+                    if target is not procs[i] and target.is_alive:
+                        target.interrupt(i)
+                    yield env.timeout(0.0)
+            except Interrupt as intr:
+                trace.append((i, "interrupted", intr.cause, env.now))
+            trace.append((i, kind, env.now))
+        return i
+
+    for i, ops in enumerate(workload):
+        procs.append(env.process(body(i, ops)))
+    try:
+        _drive(env, procs, mode)
+    except Interrupt as exc:  # an interrupt can land after its target ended
+        trace.append(("raised", repr(exc)))
+    outputs = {}
+    if "monitor" in subset:
+        (monitor,) = sanitize.monitors
+        outputs["monitor"] = (monitor.events, monitor.digests())
+    if "telemetry" in subset:
+        t = env.telemetry
+        outputs["telemetry"] = (t.dispatch, t.heap_pops, t.resumes)
+    if "profile" in subset:
+        outputs["profile"] = (ctx.metrics.counter("sim.events").value,
+                              ctx.selfprof.calls)
+    return (env.now, env.events_scheduled, env.peek(), trace), outputs
+
+
+@settings(max_examples=40, deadline=None)
+@given(workload=_workloads,
+       mode=st.sampled_from(("run", "until", "window", "step", "complete")))
+def test_every_observer_subset_sees_what_each_sees_alone(workload, mode):
+    """Observers compose: any subset leaves the run unchanged and gives
+    each observer exactly the output it gives when attached alone."""
+    runs = {subset: _observed_run(workload, subset, mode) for subset in _SUBSETS}
+    baseline, _ = runs[()]
+    alone = {name: runs[(name,)][1][name] for name in _OBSERVERS}
+    for subset, (result, outputs) in runs.items():
+        assert result == baseline, subset
+        for name in subset:
+            assert outputs[name] == alone[name], (subset, name)
+    if baseline[2] is None:  # drained: every scheduled event was dispatched
+        assert alone["monitor"][0] == baseline[1]
+        assert alone["telemetry"][1] == baseline[1]
+        assert alone["profile"][0] == baseline[1]
