@@ -5,20 +5,54 @@ allocation. The use of hugeblocks significantly lowers the amount of
 information that must be kept to track file blocks."
 
 The pool covers the data region of a rank's partition, divided into
-fixed-size blocks. Allocation pops from the head of a circular free
-ring; free pushes at the tail — both O(1). ``footprint_bytes`` reports
-the pool's DRAM cost (one 4-byte index per block), which is the 8x
-reduction the paper credits to 32 KiB blocks vs 4 KiB.
+fixed-size blocks. Allocation takes from the head of a circular free
+ring; free appends at the tail. The ring holds *runs* of consecutive
+blocks, ``(first block, block count)``, so handing out or taking back a
+run of any length is one step per run, not per block; a freed run that
+continues the tail run merges into it, which keeps the ring's block
+order exactly that of a one-block-per-slot ring. Allocated blocks are a
+bitmap, for O(1) double-free checks.
+
+``footprint_bytes`` reports the *modelled* DRAM cost, one 4-byte index
+per block, by arithmetic: the 8x reduction the paper credits to 32 KiB
+blocks vs 4 KiB. It does not measure the runs this host code keeps.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Set
+from typing import Deque, Iterable, List, Tuple
 
 from repro.errors import InvalidArgument, NoSpace
 
-__all__ = ["BlockPool"]
+__all__ = ["BlockPool", "Run", "expand", "runs_of"]
+
+#: ``(first block, block count)``: consecutive blocks.
+Run = Tuple[int, int]
+
+
+def runs_of(blocks: Iterable[int]) -> List[Run]:
+    """Merge a block sequence into runs, keeping its order."""
+    runs: List[Run] = []
+    first = end = 0  # the pending run [first, end), empty so far
+    for block in blocks:
+        if block == end:
+            end += 1
+            continue
+        if end > first:
+            runs.append((first, end - first))
+        first, end = block, block + 1
+    if end > first:
+        runs.append((first, end - first))
+    return runs
+
+
+def expand(runs: Iterable[Run]) -> List[int]:
+    """The block sequence a list of runs stands for."""
+    blocks: List[int] = []
+    for first, n in runs:
+        blocks.extend(range(first, first + n))
+    return blocks
 
 
 class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op order)
@@ -33,53 +67,93 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
             )
         self.block_bytes = block_bytes
         self.capacity_blocks = region_bytes // block_bytes
-        self._free: Deque[int] = deque(range(self.capacity_blocks))
-        self._allocated: Set[int] = set()
+        self._free: Deque[Run] = deque([(0, self.capacity_blocks)])
+        self._allocated = bytearray(self.capacity_blocks)
+        self._used = 0
 
     # -- allocation ---------------------------------------------------------------
 
-    def alloc(self) -> int:
-        """Pop one free block index; O(1)."""
-        if not self._free:
-            raise NoSpace(
-                f"block pool exhausted ({self.capacity_blocks} blocks of "
-                f"{self.block_bytes} bytes)"
-            )
-        block = self._free.popleft()
-        self._allocated.add(block)
-        return block
+    def alloc_runs(self, count: int) -> List[Run]:
+        """Take ``count`` blocks from the head of the ring; all-or-nothing.
 
-    def alloc_many(self, count: int) -> List[int]:
-        """Pop ``count`` blocks; all-or-nothing."""
+        Returns them as runs in allocation order.
+        """
         if count < 0:
             raise InvalidArgument(f"negative block count: {count}")
-        if count > len(self._free):
+        if count > self.free_blocks:
             raise NoSpace(
-                f"need {count} blocks, only {len(self._free)} free of "
+                f"need {count} blocks, only {self.free_blocks} free of "
                 f"{self.capacity_blocks}"
             )
-        return [self.alloc() for _ in range(count)]
+        self._used += count
+        taken: List[Run] = []
+        while count:
+            first, length = self._free[0]
+            take = min(length, count)
+            if take == length:
+                self._free.popleft()
+            else:
+                self._free[0] = (first + take, length - take)
+            self._allocated[first:first + take] = b"\x01" * take
+            taken.append((first, take))
+            count -= take
+        return taken
 
-    def free(self, block: int) -> None:
-        """Return a block to the tail of the ring; O(1)."""
-        if block not in self._allocated:
-            raise InvalidArgument(f"double free or foreign block {block}")
-        self._allocated.remove(block)
-        self._free.append(block)
+    def free_runs(self, runs: Iterable[Run]) -> None:
+        """Append runs to the tail of the ring, in order.
 
-    def free_many(self, blocks: List[int]) -> None:
-        for block in blocks:
-            self.free(block)
+        Blocks are freed one after another: the first block that is not
+        allocated raises ``InvalidArgument``, after the blocks before it
+        went back to the ring.
+        """
+        for first, count in runs:
+            end = first + count
+            stop = self._allocated_until(first, end)
+            if stop > first:
+                self._allocated[first:stop] = bytes(stop - first)
+                self._used -= stop - first
+                self._append_free(first, stop - first)
+            if stop < end:
+                raise InvalidArgument(f"double free or foreign block {stop}")
+
+    def _allocated_until(self, first: int, end: int) -> int:
+        """The first block of ``[first, end)`` that is not allocated, or ``end``."""
+        if first < 0:
+            return first
+        bound = max(first, min(end, self.capacity_blocks))
+        hole = self._allocated.find(0, first, bound)
+        return bound if hole < 0 else hole
+
+    def _append_free(self, first: int, count: int) -> None:
+        if self._free:
+            tail_first, tail_count = self._free[-1]
+            if tail_first + tail_count == first:
+                self._free[-1] = (tail_first, tail_count + count)
+                return
+        self._free.append((first, count))
+
+    def allocated_runs(self) -> List[Run]:
+        """Every allocated block, as ascending maximal runs."""
+        runs: List[Run] = []
+        bitmap = self._allocated
+        first = bitmap.find(1)
+        while first >= 0:
+            end = bitmap.find(0, first)
+            if end < 0:
+                end = len(bitmap)
+            runs.append((first, end - first))
+            first = bitmap.find(1, end)
+        return runs
 
     # -- accounting ----------------------------------------------------------------
 
     @property
     def free_blocks(self) -> int:
-        return len(self._free)
+        return self.capacity_blocks - self._used
 
     @property
     def used_blocks(self) -> int:
-        return len(self._allocated)
+        return self._used
 
     def offset_of(self, block: int) -> int:
         """Byte offset of a block within the data region."""
@@ -88,17 +162,18 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
         return block * self.block_bytes
 
     def footprint_bytes(self) -> int:
-        """DRAM cost of tracking the pool: 4 bytes per block index."""
+        """Modelled DRAM cost of tracking the pool: 4 bytes per block index."""
         return 4 * self.capacity_blocks
 
     # -- persistence (for internal-state checkpoints) --------------------------------
 
     def snapshot(self) -> dict:
+        """Flat block lists, the format state checkpoints have always stored."""
         return {
             "block_bytes": self.block_bytes,
             "capacity_blocks": self.capacity_blocks,
-            "free": list(self._free),
-            "allocated": sorted(self._allocated),
+            "free": expand(self._free),
+            "allocated": expand(self.allocated_runs()),
         }
 
     @classmethod
@@ -106,6 +181,9 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
         pool = cls.__new__(cls)
         pool.block_bytes = snap["block_bytes"]
         pool.capacity_blocks = snap["capacity_blocks"]
-        pool._free = deque(snap["free"])
-        pool._allocated = set(snap["allocated"])
+        pool._free = deque(runs_of(snap["free"]))
+        pool._allocated = bytearray(pool.capacity_blocks)
+        for first, count in runs_of(snap["allocated"]):
+            pool._allocated[first:first + count] = b"\x01" * count
+        pool._used = len(snap["allocated"])
         return pool

@@ -31,7 +31,7 @@ from repro.bench import calibration as cal
 from repro.core.config import RuntimeConfig
 from repro.core.control_plane import GlobalNamespaceService, MetadataFootprint
 from repro.core.data_plane import DataPlane
-from repro.core.microfs.blockpool import BlockPool
+from repro.core.microfs.blockpool import BlockPool, Run
 from repro.core.microfs.btree import BPlusTree
 from repro.core.microfs.inode import DirEntry, FileType, Inode
 from repro.core.microfs.oplog import LogOp, OperationLog
@@ -252,8 +252,42 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
             )
 
     # ------------------------------------------------------------------------
+    # block maps (shared with recovery replay)
+    # ------------------------------------------------------------------------
+
+    def _grow(self, inode: Inode, nblocks: int) -> None:
+        """Extend ``inode``'s block map to ``nblocks`` blocks from the pool."""
+        if nblocks > len(inode.blocks):
+            inode.blocks.add_runs(self.pool.alloc_runs(nblocks - len(inode.blocks)))
+
+    def _shrink(self, inode: Inode, nblocks: int) -> None:
+        """Cut ``inode``'s block map to ``nblocks`` blocks, freeing the rest."""
+        self.pool.free_runs(inode.blocks.truncate(nblocks))
+
+    def _device_runs(self, inode: Inode, offset: int, nbytes: int) -> List[Tuple[int, int]]:
+        """Split file bytes ``[offset, offset + nbytes)`` into
+        device-contiguous ``(device offset, length)`` runs, in file order."""
+        block = self.config.effective_block_bytes
+        end = offset + nbytes
+        runs: List[Tuple[int, int]] = []
+        at = offset
+        next_index = offset // block
+        for first, count in inode.blocks.span(next_index, -(-end // block)):
+            next_index += count
+            stop = min(end, next_index * block)
+            device_offset = self._data_offset + self.pool.offset_of(first) + at % block
+            runs.append((device_offset, stop - at))
+            at = stop
+        return runs
+
+    # ------------------------------------------------------------------------
     # directory-file maintenance
     # ------------------------------------------------------------------------
+
+    def _ensure_dir_blocks(self, directory: Inode) -> None:
+        """Give a directory file the blocks its entries need (at least one)."""
+        block = self.config.effective_block_bytes
+        self._grow(directory, max(1, -(-directory.dir_file_bytes() // block)))
 
     def _write_dir_file(self, directory: Inode) -> Generator[Event, Any, None]:
         """Rewrite the tail block of a directory's on-SSD directory file.
@@ -263,9 +297,7 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         what bounds create throughput by hardware, not software.
         """
         block = self.config.effective_block_bytes
-        needed_blocks = max(1, -(-directory.dir_file_bytes() // block))
-        while len(directory.blocks) < needed_blocks:
-            directory.blocks.append(self.pool.alloc())
+        self._ensure_dir_blocks(directory)
         tail = directory.blocks[-1]
         payload = Payload.synthetic(
             f"{self.instance_name}:dirfile:{directory.ino}:{len(directory.entries)}",
@@ -355,9 +387,7 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
 
     def _truncate(self, inode: Inode, size: int = 0) -> Generator[Event, Any, None]:
         yield from self._journal(LogOp.TRUNCATE, ino=inode.ino, a=size)
-        keep = -(-size // self.config.effective_block_bytes)
-        self.pool.free_many(inode.blocks[keep:])
-        inode.blocks = inode.blocks[:keep]
+        self._shrink(inode, -(-size // self.config.effective_block_bytes))
         inode.size = min(inode.size, size)
         inode.mtime = self.env.now
 
@@ -457,6 +487,8 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         inode.require_file()
         if not handle.writable:
             raise BadFileDescriptor(f"fd {handle.fd} not writable")
+        if offset < 0:
+            raise InvalidArgument(f"negative write offset {offset}")
         payload = self._as_payload(data, inode.ino, offset)
         nbytes = payload.nbytes
         if nbytes == 0:
@@ -466,7 +498,7 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         needed = -(-end // block) - len(inode.blocks)
         if needed > 0:
             yield self.env.timeout(needed * cal.BLOCK_ALLOC_COST)
-            inode.blocks.extend(self.pool.alloc_many(needed))
+            inode.blocks.add_runs(self.pool.alloc_runs(needed))
         # In a global namespace, the inode size/mtime update is a shared
         # metadata operation and must take the distributed lock ("other
         # systems must use distributed locking algorithms for each
@@ -478,41 +510,16 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         yield from self._journal(
             LogOp.WRITE, ino=inode.ino, a=offset, b=nbytes, physical_weight=weight
         )
-        runs = self._block_runs(inode, offset, payload)
+        runs = []
+        consumed = 0
+        for device_offset, length in self._device_runs(inode, offset, nbytes):
+            runs.append((device_offset, payload.slice(consumed, length)))
+            consumed += length
         yield from self.data_plane.write_runs(runs, qos=qos)
         inode.size = max(inode.size, end)
         inode.mtime = self.env.now
         self.counters.add("app_bytes_written", nbytes)
         return nbytes
-
-    def _block_runs(
-        self, inode: Inode, offset: int, payload: Payload
-    ) -> List[Tuple[int, Payload]]:
-        """Split a file-relative write into contiguous device runs."""
-        block = self.config.effective_block_bytes
-        runs: List[Tuple[int, Payload]] = []
-        consumed = 0
-        nbytes = payload.nbytes
-        while consumed < nbytes:
-            file_at = offset + consumed
-            index = file_at // block
-            intra = file_at % block
-            run_blocks = [inode.blocks[index]]
-            # Extend the run while device blocks stay contiguous.
-            take = block - intra
-            while consumed + take < nbytes:
-                nxt = (file_at + take) // block
-                if inode.blocks[nxt] != run_blocks[-1] + 1:
-                    break
-                run_blocks.append(inode.blocks[nxt])
-                take += block
-            take = min(take, nbytes - consumed)
-            device_offset = (
-                self._data_offset + self.pool.offset_of(run_blocks[0]) + intra
-            )
-            runs.append((device_offset, payload.slice(consumed, take)))
-            consumed += take
-        return runs
 
     def read(
         self,
@@ -537,24 +544,12 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         inode.require_file()
         if not handle.readable:
             raise BadFileDescriptor(f"fd {handle.fd} not readable")
+        if offset < 0:
+            raise InvalidArgument(f"negative read offset {offset}")
         nbytes = max(0, min(nbytes, inode.size - offset))
         if nbytes == 0:
             return []
-        block = self.config.effective_block_bytes
-        runs: List[Tuple[int, int]] = []
-        consumed = 0
-        while consumed < nbytes:
-            file_at = offset + consumed
-            index = file_at // block
-            intra = file_at % block
-            take = min(block - intra, nbytes - consumed)
-            last = runs[-1] if runs else None
-            device_offset = self._data_offset + self.pool.offset_of(inode.blocks[index]) + intra
-            if last is not None and last[0] + last[1] == device_offset:
-                runs[-1] = (last[0], last[1] + take)
-            else:
-                runs.append((device_offset, take))
-            consumed += take
+        runs = self._device_runs(inode, offset, nbytes)
         extents = yield from self.data_plane.read_runs(runs, qos=qos)
         self.counters.add("app_bytes_read", nbytes)
         return [e.payload for e in extents]
@@ -595,7 +590,7 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         )
         parent.remove_entry(base)
         self.namespace_index.delete(path)
-        self.pool.free_many(inode.blocks)
+        self._shrink(inode, 0)
         del self.inodes[inode.ino]
         yield from self._write_dir_file(parent)
         self.counters.add("unlinks")
@@ -726,7 +721,8 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         * every namespace-index path maps to a live inode,
         * every directory entry matches the index and the child inode,
         * every inode is reachable from the root exactly once,
-        * block accounting matches the pool (no leaks, no double use),
+        * the blocks inodes hold are exactly the pool's allocated blocks
+          (no leaks, no double use, none the pool would hand out again),
         * file sizes fit their block lists.
         """
         # Index <-> inode table.
@@ -763,11 +759,24 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         assert reachable == set(self.inodes), (
             f"orphan inodes: {set(self.inodes) - reachable}"
         )
-        # Block accounting.
-        used_blocks = [b for inode in self.inodes.values() for b in inode.blocks]
-        assert len(used_blocks) == len(set(used_blocks)), "block double-use"
-        assert len(used_blocks) == self.pool.used_blocks, (
-            f"pool says {self.pool.used_blocks} used, inodes hold {len(used_blocks)}"
+        # Block accounting, over runs: the blocks inodes hold, merged in
+        # device order, must be disjoint and be exactly the pool's.
+        held: List[Run] = []
+        for first, count in sorted(
+            run for inode in self.inodes.values() for run in inode.blocks.runs
+        ):
+            last_first, last_count = held[-1] if held else (first, 0)
+            assert last_first + last_count <= first, f"block double-use at block {first}"
+            if held and last_first + last_count == first:
+                held[-1] = (last_first, last_count + count)
+            else:
+                held.append((first, count))
+        held_blocks = sum(count for _first, count in held)
+        assert held_blocks == self.pool.used_blocks, (
+            f"pool says {self.pool.used_blocks} used, inodes hold {held_blocks}"
+        )
+        assert held == self.pool.allocated_runs(), (
+            "inodes hold blocks the pool counts as free"
         )
         # Sizes fit block lists.
         block = self.config.effective_block_bytes

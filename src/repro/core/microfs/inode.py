@@ -4,22 +4,28 @@
 as inodes to store file metadata and directory files to store directory
 entries."
 
-An inode records type, size, permissions, and the ordered list of
-hugeblock indices backing the file. Directory inodes carry their entries
-in DRAM; each entry mutation is durably captured by the operation log
-(and the directory *file* blocks on the SSD are rewritten by the fs
-layer, which is where Figure 8(b)'s create traffic comes from).
+An inode records type, size, permissions, and the hugeblocks backing
+the file, in file order. The host keeps those as an :class:`ExtentMap`
+of ``(device block, count)`` runs, so a file written into one stretch
+of the pool costs one run however many blocks it spans; the modelled
+per-block metadata cost stays in the pool's ``footprint_bytes``.
+Directory inodes carry their entries in DRAM; each entry mutation is
+durably captured by the operation log (and the directory *file* blocks
+on the SSD are rewritten by the fs layer, which is where Figure 8(b)'s
+create traffic comes from).
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
+from repro.core.microfs.blockpool import Run, expand, runs_of
 from repro.errors import IsADirectory, NotADirectory
 
-__all__ = ["FileType", "Inode", "DirEntry"]
+__all__ = ["FileType", "Inode", "DirEntry", "ExtentMap"]
 
 
 class FileType(enum.Enum):
@@ -36,6 +42,115 @@ class DirEntry:
     ftype: FileType
 
 
+class ExtentMap:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op order)
+    """A file's device blocks in file order, stored as runs.
+
+    It reads like the ``list[int]`` of block numbers it stands for
+    (``len``, integer indexing, iteration, ``==`` against a list) but
+    keeps one ``(device block, count)`` run per device-contiguous
+    stretch, always merged, so two maps are equal exactly when their
+    runs are. Growing, truncating and looking up a byte range cost
+    O(runs), not O(blocks).
+    """
+
+    __slots__ = ("_runs", "_starts", "_len")
+
+    def __init__(self, blocks: Iterable[int] = ()):
+        self._runs: List[Run] = []
+        #: File block index of each run's first block.
+        self._starts: List[int] = []
+        self._len = 0
+        if blocks:
+            self.extend(blocks)
+
+    @property
+    def runs(self) -> List[Run]:
+        return list(self._runs)
+
+    def add_runs(self, runs: Iterable[Run]) -> None:
+        """Append device runs at the end of the file."""
+        for first, count in runs:
+            if count <= 0:
+                continue
+            if self._runs:
+                last_first, last_count = self._runs[-1]
+                if last_first + last_count == first:
+                    self._runs[-1] = (last_first, last_count + count)
+                    self._len += count
+                    continue
+            self._runs.append((first, count))
+            self._starts.append(self._len)
+            self._len += count
+
+    def append(self, block: int) -> None:
+        self.add_runs([(block, 1)])
+
+    def extend(self, blocks: Iterable[int]) -> None:
+        self.add_runs(runs_of(blocks))
+
+    def truncate(self, keep: int) -> List[Run]:
+        """Keep the first ``keep`` blocks; the cut runs, in file order."""
+        if keep < 0:
+            raise IndexError(f"cannot keep {keep} blocks")
+        if keep >= self._len:
+            return []
+        i = bisect_right(self._starts, keep) - 1
+        first, count = self._runs[i]
+        cut = keep - self._starts[i]
+        removed = self._runs[i:]
+        del self._runs[i:], self._starts[i:]
+        if cut:
+            removed[0] = (first + cut, count - cut)
+            self._runs.append((first, cut))
+            self._starts.append(keep - cut)
+        self._len = keep
+        return removed
+
+    def span(self, start: int, stop: int) -> List[Run]:
+        """The device runs behind file blocks ``[start, stop)``."""
+        if not 0 <= start <= stop <= self._len:
+            raise IndexError(f"blocks [{start}, {stop}) outside a {self._len}-block map")
+        out: List[Run] = []
+        i = bisect_right(self._starts, start) - 1
+        while start < stop:
+            first, count = self._runs[i]
+            skip = start - self._starts[i]
+            take = min(count - skip, stop - start)
+            out.append((first + skip, take))
+            start += take
+            i += 1
+        return out
+
+    def __getitem__(self, index: int) -> int:
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("block index out of range")
+        i = bisect_right(self._starts, index) - 1
+        return self._runs[i][0] + index - self._starts[i]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.tolist())
+
+    def tolist(self) -> List[int]:
+        return expand(self._runs)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExtentMap):
+            return self._runs == other._runs
+        if isinstance(other, list):
+            return self.tolist() == other
+        return NotImplemented
+
+    __hash__ = None  # mutable, like list
+
+    def __repr__(self) -> str:
+        return f"ExtentMap(runs={self._runs!r})"
+
+
 @dataclass
 class Inode:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op order)
     """File or directory metadata. DRAM-resident; journaled via the oplog."""
@@ -48,10 +163,12 @@ class Inode:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op orde
     nlink: int = 1
     ctime: float = 0.0
     mtime: float = 0.0
-    blocks: List[int] = field(default_factory=list)
+    blocks: ExtentMap = field(default_factory=ExtentMap)
     entries: Optional[Dict[str, DirEntry]] = None  # directories only
 
     def __post_init__(self) -> None:
+        if not isinstance(self.blocks, ExtentMap):
+            self.blocks = ExtentMap(self.blocks)
         if self.ftype is FileType.DIRECTORY and self.entries is None:
             self.entries = {}
 
@@ -103,7 +220,7 @@ class Inode:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op orde
             "nlink": self.nlink,
             "ctime": self.ctime,
             "mtime": self.mtime,
-            "blocks": list(self.blocks),
+            "blocks": self.blocks.tolist(),  # flat, as state checkpoints store it
         }
         if self.ftype is FileType.DIRECTORY:
             snap["entries"] = {
@@ -123,7 +240,7 @@ class Inode:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op orde
             nlink=snap["nlink"],
             ctime=snap["ctime"],
             mtime=snap["mtime"],
-            blocks=list(snap["blocks"]),
+            blocks=ExtentMap(snap["blocks"]),
         )
         if ftype is FileType.DIRECTORY:
             for name, (ino, etype) in snap["entries"].items():

@@ -166,26 +166,20 @@ def _apply(fs: MicroFS, record: LogRecord) -> None:
         parent.add_entry(DirEntry(record.name, record.ino, ftype))
         fs.namespace_index.insert(_path_of(fs, record.parent_ino, record.name), record.ino)
         fs._next_ino = max(fs._next_ino, record.ino + 1)
-        if ftype is FileType.DIRECTORY:
-            _ensure_dir_blocks(fs, parent)
-        else:
-            _ensure_dir_blocks(fs, parent)
+        # Mirror the dir-file allocation the original op performed.
+        fs._ensure_dir_blocks(parent)
     elif record.op is LogOp.WRITE:
         inode = fs.inodes.get(record.ino)
         if inode is None:
             raise RecoveryError(f"replay WRITE to unknown inode {record.ino}")
         end = record.a + record.b
-        needed = -(-end // block) - len(inode.blocks)
-        if needed > 0:
-            inode.blocks.extend(fs.pool.alloc_many(needed))
+        fs._grow(inode, -(-end // block))
         inode.size = max(inode.size, end)
     elif record.op is LogOp.TRUNCATE:
         inode = fs.inodes.get(record.ino)
         if inode is None:
             raise RecoveryError(f"replay TRUNCATE of unknown inode {record.ino}")
-        keep = -(-record.a // block)
-        fs.pool.free_many(inode.blocks[keep:])
-        inode.blocks = inode.blocks[:keep]
+        fs._shrink(inode, -(-record.a // block))
         inode.size = min(inode.size, record.a)
     elif record.op is LogOp.RENAME:
         inode = fs.inodes.get(record.ino)
@@ -199,6 +193,7 @@ def _apply(fs: MicroFS, record: LogRecord) -> None:
         new_parent.add_entry(DirEntry(new_base, entry.ino, entry.ftype))
         new_path = _path_of(fs, record.a, new_base)
         fs._rekey_namespace(old_path, new_path)
+        fs._ensure_dir_blocks(new_parent)
     elif record.op is LogOp.UNLINK:
         inode = fs.inodes.get(record.ino)
         parent = fs.inodes.get(record.parent_ino)
@@ -207,18 +202,9 @@ def _apply(fs: MicroFS, record: LogRecord) -> None:
         path = _path_of(fs, record.parent_ino, record.name)
         parent.remove_entry(record.name)
         fs.namespace_index.delete(path)
-        fs.pool.free_many(inode.blocks)
+        fs._shrink(inode, 0)
         del fs.inodes[record.ino]
     elif record.op is LogOp.CLOSE:
         pass  # informational
     else:  # pragma: no cover - enum is closed
         raise RecoveryError(f"unknown log op {record.op}")
-
-
-def _ensure_dir_blocks(fs: MicroFS, directory: Inode) -> None:
-    """Mirror the dir-file block allocation the original op performed,
-    keeping pool replay deterministic."""
-    block = fs.config.effective_block_bytes
-    needed = max(1, -(-directory.dir_file_bytes() // block))
-    while len(directory.blocks) < needed:
-        directory.blocks.append(fs.pool.alloc())

@@ -1,17 +1,28 @@
-"""Unit + property tests for the circular block pool."""
+"""Unit + property tests for the circular block pool, through its run
+API (``alloc_runs``/``free_runs``); ``alloc_one``/``free_one`` are its
+one-block cases."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.microfs.blockpool import BlockPool
+from repro.core.microfs.blockpool import BlockPool, expand
 from repro.errors import InvalidArgument, NoSpace
 from repro.units import KiB, MiB
 
 
+def alloc_one(pool):
+    [(block, _count)] = pool.alloc_runs(1)
+    return block
+
+
+def free_one(pool, block):
+    pool.free_runs([(block, 1)])
+
+
 def test_alloc_sequential_blocks_are_contiguous():
     pool = BlockPool(MiB(1), KiB(32))
-    blocks = pool.alloc_many(8)
+    blocks = expand(pool.alloc_runs(8))
     assert blocks == list(range(8))
 
 
@@ -23,41 +34,41 @@ def test_capacity():
 
 def test_exhaustion_raises():
     pool = BlockPool(KiB(64), KiB(32))
-    pool.alloc_many(2)
+    pool.alloc_runs(2)
     with pytest.raises(NoSpace):
-        pool.alloc()
+        alloc_one(pool)
 
 
 def test_alloc_many_all_or_nothing():
     pool = BlockPool(KiB(96), KiB(32))
     with pytest.raises(NoSpace):
-        pool.alloc_many(4)
+        pool.alloc_runs(4)
     assert pool.free_blocks == 3  # nothing consumed
 
 
 def test_free_recycles_in_fifo_order():
     pool = BlockPool(KiB(96), KiB(32))
-    a = pool.alloc_many(3)
-    pool.free(a[1])
-    pool.free(a[0])
+    a = expand(pool.alloc_runs(3))
+    free_one(pool, a[1])
+    free_one(pool, a[0])
     # Ring: freed blocks come back after any never-used ones (none left),
     # in free order.
-    assert pool.alloc() == a[1]
-    assert pool.alloc() == a[0]
+    assert alloc_one(pool) == a[1]
+    assert alloc_one(pool) == a[0]
 
 
 def test_double_free_rejected():
     pool = BlockPool(KiB(64), KiB(32))
-    block = pool.alloc()
-    pool.free(block)
+    block = alloc_one(pool)
+    free_one(pool, block)
     with pytest.raises(InvalidArgument):
-        pool.free(block)
+        free_one(pool, block)
 
 
 def test_foreign_free_rejected():
     pool = BlockPool(KiB(64), KiB(32))
     with pytest.raises(InvalidArgument):
-        pool.free(99)
+        free_one(pool, 99)
 
 
 def test_offset_of():
@@ -77,14 +88,14 @@ def test_footprint_shrinks_8x_with_hugeblocks():
 
 def test_snapshot_restore_roundtrip():
     pool = BlockPool(MiB(1), KiB(32))
-    allocated = pool.alloc_many(5)
-    pool.free(allocated[2])
+    allocated = expand(pool.alloc_runs(5))
+    free_one(pool, allocated[2])
     restored = BlockPool.restore(pool.snapshot())
     assert restored.free_blocks == pool.free_blocks
     assert restored.used_blocks == pool.used_blocks
     # Deterministic continuation: both pools allocate identically.
-    assert restored.alloc() == pool.alloc()
-    assert restored.alloc() == pool.alloc()
+    assert alloc_one(restored) == alloc_one(pool)
+    assert alloc_one(restored) == alloc_one(pool)
 
 
 def test_invalid_construction():
@@ -106,12 +117,12 @@ def test_pool_invariants_under_random_ops(ops, nblocks):
     live = []
     for op in ops:
         if op == "alloc" and pool.free_blocks > 0:
-            block = pool.alloc()
+            block = alloc_one(pool)
             assert block not in live
             live.append(block)
         elif op == "free" and live:
-            pool.free(live.pop(0))
+            free_one(pool, live.pop(0))
         assert pool.free_blocks + pool.used_blocks == pool.capacity_blocks
     twin = BlockPool.restore(pool.snapshot())
     for _ in range(min(pool.free_blocks, 10)):
-        assert twin.alloc() == pool.alloc()
+        assert alloc_one(twin) == alloc_one(pool)

@@ -230,6 +230,27 @@ def test_dotdot_rejected(rig):
         rig.run(scenario())
 
 
+def test_negative_offsets_rejected_before_any_state_changes(rig):
+    """pwrite/pread at offset < 0 raise InvalidArgument, like lseek; the
+    write must not reach the operation log, whose encoder cannot hold a
+    negative offset and would then fail every later journaled op."""
+    def scenario():
+        fd = yield from rig.fs.open("/f", create=True)
+        yield from rig.fs.write(fd, KiB(64))
+        records = rig.fs.oplog.record_count
+        with pytest.raises(InvalidArgument):
+            yield from rig.fs.pwrite(fd, b"B" * 10, -KiB(32))
+        with pytest.raises(InvalidArgument):
+            yield from rig.fs.pread(fd, 16, -KiB(32))
+        assert rig.fs.oplog.record_count == records
+        yield from rig.fs.mkdir("/d")  # the journal still works
+        yield from rig.fs.close(fd)
+
+    rig.run(scenario())
+    assert rig.fs.stat("/f").size == KiB(64)
+    assert rig.fs.exists("/d")
+
+
 def test_open_file_count_tracks_handles(rig):
     def scenario():
         assert rig.fs.open_file_count == 0

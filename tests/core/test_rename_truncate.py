@@ -102,6 +102,31 @@ def test_rename_survives_recovery(rig):
     assert recovered.stat("/b").blocks == rig.fs.stat("/b").blocks
 
 
+def test_rename_growing_a_directory_file_survives_recovery(rig):
+    """The rename that adds a directory's 64th entry (a second dir-file
+    block) must allocate that block on replay too, or every later
+    replayed write lands one block off."""
+    entries_per_block = rig.config.effective_block_bytes // 64
+
+    def scenario():
+        yield from rig.fs.mkdir("/d")
+        for i in range(entries_per_block - 1):  # plus the header slot: full
+            fd = yield from rig.fs.open(f"/d/f{i}", create=True)
+            yield from rig.fs.close(fd)
+        fd = yield from rig.fs.open("/x", create=True)
+        yield from rig.fs.close(fd)
+        yield from rig.fs.rename("/x", "/d/x")
+        fd = yield from rig.fs.open("/d/f0")
+        yield from rig.fs.write(fd, KiB(64))
+        yield from rig.fs.close(fd)
+
+    rig.run(scenario())
+    assert len(rig.fs.stat("/d").blocks) == 2
+    recovered, _ = fresh_recovery(rig)
+    assert recovered.stat("/d").blocks == rig.fs.stat("/d").blocks
+    assert recovered.stat("/d/f0").blocks == rig.fs.stat("/d/f0").blocks
+
+
 def test_partial_truncate_frees_tail_blocks(rig):
     block = rig.config.effective_block_bytes
 
