@@ -12,12 +12,31 @@ mid-flight re-rating is why the kernel is custom rather than SimPy.
 The fluid model is the *fast path* for bulk transfers. Per-command
 effects (fixed costs, whole-command granularity) are layered on top by
 :mod:`repro.nvme.device`, which charges them explicitly.
+
+This server sets every storage makespan, so its float operations and
+their order are part of the results; the hot path only strips
+interpreter work around them:
+
+- Water-filling visits flows in ascending *limit* (the cap, or ``inf``
+  when uncapped) with a stable sort, so equal limits keep arrival
+  order. The server counts its flows per limit. While one limit is
+  present the stable sort is the identity, so it is skipped and the
+  flows are rated in dict order, which is the order the sort would
+  return. The same loop finds the next-completion horizon.
+- ``bytes_served`` is the one accumulator, a left-to-right sum over the
+  flows in dict order. Busy capacity-time equals it, so
+  :meth:`FairShareServer.utilisation` reads it.
+- Each re-rate schedules one wake ``Timeout`` and keeps a reference to
+  it; a wake that is not the latest one is stale and returns at once,
+  checked by identity.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+import math
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment, Event
@@ -25,12 +44,13 @@ from repro.sim.engine import Environment, Event
 __all__ = ["FairShareServer", "Flow"]
 
 _EPSILON_BYTES = 1e-6  # below this a flow is complete (fp dust)
+_BY_LIMIT = attrgetter("limit")
 
 
 class Flow:
     """One in-flight transfer on a :class:`FairShareServer`."""
 
-    __slots__ = ("flow_id", "remaining", "cap", "rate", "event", "started_at")
+    __slots__ = ("flow_id", "remaining", "limit", "rate", "event", "started_at")
 
     def __init__(
         self,
@@ -42,7 +62,8 @@ class Flow:
     ):
         self.flow_id = flow_id
         self.remaining = float(nbytes)
-        self.cap = cap
+        #: Water-filling key: the cap, or ``inf`` when uncapped.
+        self.limit = math.inf if cap is None else cap
         self.rate = 0.0
         self.event = event
         self.started_at = started_at
@@ -62,12 +83,14 @@ class FairShareServer:
         self.capacity = float(capacity)
         self.name = name
         self._flows: Dict[int, Flow] = {}
+        #: In-flight flows per distinct limit.
+        self._limits: Dict[float, int] = {}
         self._ids = itertools.count()
         self._last_update = env.now
-        self._wake_generation = 0
+        #: The latest wake; any other wake that fires is superseded.
+        self._wake: Optional[Event] = None
         # Accounting.
         self.bytes_served = 0.0
-        self._busy_time = 0.0
 
     # -- public API -----------------------------------------------------------
 
@@ -79,12 +102,13 @@ class FairShareServer:
         """Start a flow of ``nbytes``; returns the completion event.
 
         ``cap`` optionally limits this flow's rate (bytes/s) below its
-        fair share.
+        fair share; ``None`` and ``inf`` both mean uncapped.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
-        if cap is not None and cap <= 0:
-            raise SimulationError(f"non-positive rate cap: {cap}")
+        if not 0 <= nbytes < math.inf:
+            raise SimulationError(
+                f"transfer size must be finite and non-negative, got {nbytes}")
+        if cap is not None and not cap > 0:
+            raise SimulationError(f"rate cap must be positive, got {cap}")
         event = self.env.event()
         if nbytes == 0:
             event.succeed(0.0)
@@ -95,6 +119,8 @@ class FairShareServer:
         self._advance()
         flow = Flow(next(self._ids), nbytes, cap, event, self.env.now)
         self._flows[flow.flow_id] = flow
+        limits = self._limits
+        limits[flow.limit] = limits.get(flow.limit, 0) + 1
         self._rerate_and_schedule()
         return event
 
@@ -104,7 +130,7 @@ class FairShareServer:
         horizon = self.env.now - since
         if horizon <= 0:
             return 0.0
-        return min(1.0, self._busy_time / (horizon * self.capacity))
+        return min(1.0, self.bytes_served / (horizon * self.capacity))
 
     # -- internals --------------------------------------------------------------
 
@@ -113,74 +139,89 @@ class FairShareServer:
         now = self.env.now
         dt = now - self._last_update
         if dt > 0:
+            served = self.bytes_served
             for flow in self._flows.values():
                 moved = flow.rate * dt
                 flow.remaining -= moved
-                self.bytes_served += moved
-                self._busy_time += moved  # busy integral == bytes moved / capacity-normalised later
+                served += moved
+            self.bytes_served = served
         self._last_update = now
 
     def _rerate_and_schedule(self) -> None:
-        """Assign max-min fair rates, then schedule the next completion."""
-        flows = list(self._flows.values())
-        if not flows:
-            return
+        """Assign max-min fair rates, then schedule the next completion.
+
+        Callers hold at least one flow.
+        """
+        flows = self._flows
         telemetry = self.env.telemetry
         if telemetry is not None:
             telemetry.fairshare_recomputes += 1
         # Progressive filling: capped flows that can't use a full fair
         # share free capacity for the rest.
+        order: Iterable[Flow] = flows.values()
+        if len(self._limits) > 1:
+            order = sorted(order, key=_BY_LIMIT)
         remaining_capacity = self.capacity
-        unassigned = sorted(
-            flows, key=lambda f: (f.cap if f.cap is not None else float("inf"))
-        )
-        count = len(unassigned)
-        for index, flow in enumerate(unassigned):
-            share = remaining_capacity / (count - index)
-            rate = min(share, flow.cap) if flow.cap is not None else share
+        left = len(flows)
+        horizon = math.inf
+        for flow in order:
+            share = remaining_capacity / left
+            limit = flow.limit
+            rate = limit if limit < share else share  # min(share, limit)
             flow.rate = rate
             remaining_capacity -= rate
+            left -= 1
+            if rate > 0:
+                time_left = flow.remaining / rate
+                if time_left < horizon:
+                    horizon = time_left
         # Next completion. _advance() can leave an almost-finished flow
         # with remaining ~ -1e-16 (fp dust), which would make the horizon
         # negative and the timeout below illegal — clamp to "fire now".
-        horizon = max(0.0, min(
-            (f.remaining / f.rate) for f in flows if f.rate > 0
-        ))
-        self._wake_generation += 1
-        generation = self._wake_generation
-        wake = self.env.timeout(horizon)
-        wake.callbacks.append(lambda _ev: self._on_wake(generation))
+        wake = self._wake = self.env.timeout(max(0.0, horizon))
+        wake.callbacks.append(self._on_wake)
 
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._wake_generation:
+    def _on_wake(self, wake: Event) -> None:
+        if wake is not self._wake:
             return  # superseded by a newer re-rate
-        self._advance()
-        finished = [
-            f for f in self._flows.values() if self._is_done(f)
-        ]
-        if not finished and self._flows:
+        now = self.env.now
+        dt = now - self._last_update
+        self._last_update = now
+        flows = self._flows
+        served = self.bytes_served
+        finished: List[Flow] = []
+        for flow in flows.values():
+            if dt > 0:
+                moved = flow.rate * dt
+                flow.remaining -= moved
+                served += moved
+            remaining = flow.remaining
+            # Remaining service time below a picosecond is numeric dust.
+            if remaining <= _EPSILON_BYTES or (
+                flow.rate > 0 and remaining / flow.rate <= 1e-12
+            ):
+                finished.append(flow)
+        self.bytes_served = served
+        if not finished:
             # Floating-point guard: when every remaining service time is
             # below the clock's resolution (now + dt == now), time can
             # no longer advance — finish the nearest flow explicitly
             # rather than spinning.
             nearest = min(
-                (f for f in self._flows.values() if f.rate > 0),
+                (f for f in flows.values() if f.rate > 0),
                 key=lambda f: f.remaining / f.rate,
                 default=None,
             )
-            if nearest is not None and (
-                self.env.now + nearest.remaining / nearest.rate == self.env.now
-            ):
+            if nearest is not None and now + nearest.remaining / nearest.rate == now:
                 finished = [nearest]
+        limits = self._limits
         for flow in finished:
-            del self._flows[flow.flow_id]
-            flow.event.succeed(self.env.now - flow.started_at)
-        if self._flows:
+            del flows[flow.flow_id]
+            held = limits[flow.limit] - 1
+            if held:
+                limits[flow.limit] = held
+            else:
+                del limits[flow.limit]
+            flow.event.succeed(now - flow.started_at)
+        if flows:
             self._rerate_and_schedule()
-
-    @staticmethod
-    def _is_done(flow: Flow) -> bool:
-        if flow.remaining <= _EPSILON_BYTES:
-            return True
-        # Remaining service time below a picosecond is numeric dust.
-        return flow.rate > 0 and flow.remaining / flow.rate <= 1e-12

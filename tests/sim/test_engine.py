@@ -39,6 +39,16 @@ def test_negative_delay_rejected():
         env.timeout(-1.0)
 
 
+def test_nan_delay_rejected_and_infinite_delay_allowed():
+    """NaN passed ``delay < 0`` and fired wherever the heap put it."""
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(float("nan"))
+    never = env.timeout(float("inf"))
+    env.run(until=10.0)
+    assert not never.processed
+
+
 def test_events_fire_in_time_order():
     env = Environment()
     order = []

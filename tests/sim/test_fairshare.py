@@ -1,5 +1,9 @@
 """Unit tests for the fluid fair-share bandwidth server."""
 
+import math
+import random
+import statistics
+
 import pytest
 
 from repro.errors import SimulationError
@@ -99,6 +103,31 @@ def test_negative_transfer_rejected():
         server.transfer(-1)
 
 
+@pytest.mark.parametrize("nbytes", [math.nan, math.inf])
+def test_non_finite_transfer_rejected(nbytes):
+    """NaN passed the ``nbytes < 0`` check, never drained, and stalled
+    the clock for every flow on the server; ``inf`` scheduled its wake
+    at t=inf. Both are refused before any state changes."""
+    env = Environment()
+    server = FairShareServer(env, capacity=100.0)
+    with pytest.raises(SimulationError):
+        server.transfer(nbytes)
+    assert server.active_flows == 0
+    assert env.events_scheduled == 0
+
+
+def test_nan_cap_rejected_and_infinite_cap_is_uncapped():
+    """A NaN cap passed ``cap <= 0`` and was served as uncapped."""
+    env = Environment()
+    server = FairShareServer(env, capacity=100.0)
+    with pytest.raises(SimulationError):
+        server.transfer(100.0, cap=math.nan)
+    assert server.active_flows == 0
+    assert env.events_scheduled == 0
+    done = run_transfers(env, server, [(0.0, 100.0, math.inf), (0.0, 100.0, None)])
+    assert done == {0: 2.0, 1: 2.0}
+
+
 def test_invalid_capacity_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
@@ -166,3 +195,31 @@ def test_fp_dust_never_schedules_negative_horizon():
         env.process(client(i, kind))
     env.run()
     assert sorted(done) == list(range(len(ops)))
+
+
+@pytest.mark.parametrize("sizes", ["exponential", "deterministic"])
+def test_uncapped_server_is_mg1_processor_sharing(sizes):
+    """Semantic oracle: uncapped, the server is egalitarian processor
+    sharing. With Poisson arrivals at load rho, M/G/1-PS mean sojourn is
+    E[size] / (C (1 - rho)) for any size distribution (insensitivity),
+    so the normalised mean sojourn below is 1."""
+    rng = random.Random(20240517)
+    capacity, mean_size, rho, jobs = 2e6, 1e6, 0.5, 20_000
+    env = Environment()
+    server = FairShareServer(env, capacity=capacity)
+    sojourns = []
+
+    def source():
+        for _ in range(jobs):
+            yield env.timeout(rng.expovariate(rho * capacity / mean_size))
+            if sizes == "exponential":
+                size = rng.expovariate(1.0 / mean_size)
+            else:
+                size = mean_size
+            server.transfer(size).callbacks.append(lambda ev: sojourns.append(ev.value))
+
+    env.process(source())
+    env.run()
+    assert len(sojourns) == jobs
+    normalised = statistics.fmean(sojourns) * capacity * (1.0 - rho) / mean_size
+    assert normalised == pytest.approx(1.0, rel=0.05)
