@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.experiments import fig9_plan
 from repro.bench.harness import write_bench_json
-from repro.exec import InProcessExecutor, ShardedExecutor
+from repro.exec import Executor
 
 _PROCS = tuple(range(4, 36, 2))  # 16 scales
 _SYSTEMS = ("nvmecr", "orangefs", "glusterfs")
@@ -30,11 +30,11 @@ def test_fig9_sharded_scaling_bit_identical_and_faster():
     assert len(plan.units) >= 48  # one environment per unit
 
     t0 = time.perf_counter()
-    base = InProcessExecutor().execute(plan)
+    base = Executor().execute(plan)
     wall_1 = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sharded = ShardedExecutor(4, start_method="fork").execute(
+    sharded = Executor(4, start_method="fork").execute(
         fig9_plan("weak", **plan_kwargs))
     wall_4 = time.perf_counter() - t0
 

@@ -38,8 +38,8 @@ class AnalysisConfig:
             # The self-profiler and the sampling profiler measure the
             # *simulator's* wall cost and never feed simulated time; the
             # RNG hub is the one place seeded generators are minted; the
-            # plan executors are the one sanctioned worker-process
-            # boundary — their wall clocks and pids are shard
+            # plan executor is the one sanctioned worker-process
+            # boundary — its wall clocks and pids are shard
             # diagnostics that never reach any fingerprinted field (see
             # repro/exec/executors.py).
             "DET001": ("repro/obs/context.py", "repro/obs/export.py",

@@ -223,21 +223,26 @@ def fig7a_hugeblock_sweep(
     latency [over 4KB] ... 8x reduction in the size of the block pool"
     (§IV-B, Figure 7(a)).
 
-    With an ``executor`` the sweep runs as an execution plan (each block
-    size is an independent unit with its own seeded environment), so it
-    can scale out across worker processes; results are bit-identical to
-    the classic sequential loop for any shard count.
+    The sweep runs as an execution plan (each block size is an
+    independent unit with its own seeded environment) on ``executor``,
+    one in-process shard by default; results are bit-identical for any
+    shard count.
     """
     plan = fig7a_plan(block_sizes, nprocs=nprocs, file_bytes=file_bytes,
                       seed=seed)
-    if executor is not None:
-        result = executor.execute(plan)
-        table = result.value
-        table.execution = result
-        return table
-    from repro.exec import run_unit
+    return _execute(plan, executor)
 
-    return plan.reduce([run_unit(unit) for unit in plan.units])
+
+def _execute(plan: "ExecutionPlan",
+             executor: Optional["Executor"]) -> ResultTable:
+    """Run ``plan`` (default: one in-process shard) and attach the
+    execution record to the reduced table as ``table.execution``."""
+    from repro.exec import Executor
+
+    result = (executor or Executor()).execute(plan)
+    table = result.value
+    table.execution = result
+    return table
 
 
 # ===========================================================================
@@ -615,7 +620,6 @@ def fig9_scaling(
     procs: Iterable[int] = (56, 112, 224, 448),
     checkpoints: int = 3,
     atoms_per_rank: int = 32_000,
-    atoms_total: int = 16_384_000,
     seed: int = 8,
     systems: Sequence[str] = ("nvmecr", "orangefs", "glusterfs"),
     executor: Optional["Executor"] = None,
@@ -627,22 +631,16 @@ def fig9_scaling(
     at 448 processes weak scaling; GlusterFS ~13% behind; OrangeFS far
     behind at scale; GlusterFS recovery dips at 448.
 
-    With an ``executor`` the sweep runs as an execution plan — each
-    (scale, system) cell is an independent unit — and can scale out
-    across worker processes with bit-identical results.
+    The sweep runs as an execution plan — each (scale, system) cell is
+    an independent unit — on ``executor``, one in-process shard by
+    default, with bit-identical results for any shard count.  Strong
+    scaling splits CoMD's fixed 86 GB volume
+    (:meth:`CoMDConfig.strong_scaling`); ``atoms_per_rank`` sizes weak
+    scaling only.
     """
-    if mode not in ("weak", "strong"):
-        raise ValueError(f"mode must be weak|strong, got {mode!r}")
     plan = fig9_plan(mode, procs=procs, checkpoints=checkpoints,
                      atoms_per_rank=atoms_per_rank, seed=seed, systems=systems)
-    if executor is not None:
-        result = executor.execute(plan)
-        table = result.value
-        table.execution = result
-        return table
-    from repro.exec import run_unit
-
-    return plan.reduce([run_unit(unit) for unit in plan.units])
+    return _execute(plan, executor)
 
 
 def _efficiencies(handle, nprocs, nbytes, checkpoints, stats) -> Tuple[float, float]:

@@ -19,12 +19,17 @@
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import sys
 import time
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.bench import experiments as E
 from repro.bench import extensions as X
+from repro.errors import UnknownSystem
+from repro.exec.plan import resolve_unit_fn
+from repro.systems import get as get_system
 
 
 def _resilience(**kwargs):
@@ -50,6 +55,16 @@ def _tiers(**kwargs):
 
     return tiers(**kwargs)
 
+
+#: What each lazy entry imports.  Flag routing reads these signatures;
+#: provenance() keeps digesting the entries' own ``**kwargs`` ones.
+_LAZY_TARGETS: Dict[Callable, str] = {
+    _resilience: "repro.bench.resilience:resilience",
+    _qos: "repro.bench.qos:qos",
+    _failover: "repro.bench.failover:failover",
+    _tiers: "repro.bench.tiers:tiers",
+}
+
 _EXPERIMENTS: Dict[str, Callable] = {
     "fig1": E.fig1_motivation,
     "fig7a": E.fig7a_hugeblock_sweep,
@@ -58,8 +73,8 @@ _EXPERIMENTS: Dict[str, Callable] = {
     "fig7d": E.fig7d_drilldown,
     "fig8a": E.fig8a_nvmf_overhead,
     "fig8b": E.fig8b_create_rate,
-    "fig9weak": lambda **kw: E.fig9_scaling("weak", **kw),
-    "fig9strong": lambda **kw: E.fig9_scaling("strong", **kw),
+    "fig9weak": functools.partial(E.fig9_scaling, "weak"),
+    "fig9strong": functools.partial(E.fig9_scaling, "strong"),
     "tab1": E.tab1_metadata_overhead,
     "tab2": E.tab2_multilevel,
     "sysmatrix": E.sysmatrix,
@@ -121,6 +136,57 @@ _DESCRIPTIONS: Dict[str, str] = {
 }
 
 
+def _parameters(fn: Callable) -> Mapping[str, inspect.Parameter]:
+    """The parameters an experiment entry takes (a lazy entry answers
+    for the function it imports)."""
+    if fn in _LAZY_TARGETS:
+        fn = resolve_unit_fn(_LAZY_TARGETS[fn])
+    return inspect.signature(fn).parameters
+
+
+def _taking(*params: str) -> str:
+    """The experiments taking any of ``params``, for error messages."""
+    return ", ".join(sorted(
+        name for name, fn in _EXPERIMENTS.items()
+        if any(p in _parameters(fn) for p in params)))
+
+
+def _experiment_kwargs(name: str, procs: Optional[Sequence[int]],
+                       systems: Optional[Sequence[str]]
+                       ) -> Optional[Dict[str, Any]]:
+    """Route ``--procs``/``--systems`` to experiment ``name``'s parameters.
+
+    ``--procs`` gives ``nprocs`` its first value or ``procs`` the tuple,
+    whichever the experiment has.  A flag the experiment cannot take
+    prints the experiments that can and returns None (exit 2).
+    """
+    params = _parameters(_EXPERIMENTS[name])
+    kwargs: Dict[str, Any] = {}
+    if procs:
+        if "nprocs" in params:
+            kwargs["nprocs"] = procs[0]
+        elif "procs" in params:
+            kwargs["procs"] = tuple(procs)
+        else:
+            print(f"{name} does not take --procs "
+                  f"(supported: {_taking('nprocs', 'procs')})",
+                  file=sys.stderr)
+            return None
+    if systems:
+        if "systems" not in params:
+            print(f"{name} does not take --systems "
+                  f"(supported: {_taking('systems')})", file=sys.stderr)
+            return None
+        try:
+            for system in systems:
+                get_system(system)  # fail fast with the known-names list
+        except UnknownSystem as exc:
+            print(exc, file=sys.stderr)
+            return None
+        kwargs["systems"] = tuple(systems)
+    return kwargs
+
+
 def _profile_command(args) -> int:
     """``repro profile <exp>``: traced + telemetry run, then attribution.
 
@@ -139,11 +205,9 @@ def _profile_command(args) -> int:
         print(f"unknown experiment {args.name!r}; try 'repro list'",
               file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.procs:
-        kwargs["nprocs"] = args.procs[0]
-    if args.systems:
-        kwargs["systems"] = tuple(args.systems)
+    kwargs = _experiment_kwargs(args.name, args.procs, args.systems)
+    if kwargs is None:
+        return 2
 
     sampler = None
     if args.sample:
@@ -391,12 +455,12 @@ def main(argv=None) -> int:
             print(f"  {spec.name:<16} [{spec.kind:<11}] {spec.description}")
         return 0
 
-    sharded = bool(args.shards and args.shards > 1) or bool(args.start_method)
+    sharded = (args.shards or 1) > 1
     if args.shards is not None or args.start_method is not None:
-        plan_capable = {"fig7a", "fig9weak", "fig9strong"}
-        if args.name not in plan_capable:
-            print(f"--shards applies to plan-capable experiments "
-                  f"({', '.join(sorted(plan_capable))}), not {args.name!r}",
+        fn = _EXPERIMENTS.get(args.name)
+        if fn is None or "executor" not in _parameters(fn):
+            print(f"--shards applies to plan experiments "
+                  f"({_taking('executor')}), not {args.name!r}",
                   file=sys.stderr)
             return 2
         if args.shards is not None and args.shards < 1:
@@ -444,34 +508,9 @@ def main(argv=None) -> int:
     if fn is None:
         print(f"unknown experiment {args.name!r}; try 'repro list'", file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.procs:
-        if args.name in ("tab1", "tab2", "sysmatrix", "resilience", "qos",
-                         "tiers"):
-            kwargs["nprocs"] = args.procs[0]
-        elif args.name in ("fig7a", "fig7c", "fig8a"):
-            kwargs["nprocs"] = args.procs[0]
-        elif args.name.startswith("fig") and args.name not in ("fig7a",):
-            kwargs["procs"] = tuple(args.procs)
-    if args.systems:
-        takes_systems = {"fig1", "fig7b", "fig8b", "fig9weak", "fig9strong",
-                         "tab1", "tab2", "sysmatrix", "resilience", "qos",
-                         "failover", "tiers"}
-        if args.name not in takes_systems:
-            print(f"{args.name} does not take --systems "
-                  f"(supported: {', '.join(sorted(takes_systems))})",
-                  file=sys.stderr)
-            return 2
-        from repro.errors import UnknownSystem
-        from repro.systems import get as get_system
-
-        try:
-            for name in args.systems:
-                get_system(name)  # fail fast with the known-names list
-        except UnknownSystem as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        kwargs["systems"] = tuple(args.systems)
+    kwargs = _experiment_kwargs(args.name, args.procs, args.systems)
+    if kwargs is None:
+        return 2
     if args.qos or args.batching:
         if args.name != "qos":
             print("--qos/--batching only apply to the qos experiment",
@@ -482,10 +521,10 @@ def main(argv=None) -> int:
         if args.batching:
             kwargs["batching"] = True
     if args.shards is not None or args.start_method is not None:
-        from repro.exec import make_executor
+        from repro.exec import Executor
 
-        kwargs["executor"] = make_executor(
-            args.shards or 1, start_method=args.start_method)
+        kwargs["executor"] = Executor(args.shards or 1,
+                                      start_method=args.start_method or "fork")
     started = time.time()  # wall-clock CLI reporting  # detlint: ignore[DET001]
     if args.sanitize:
         from repro.analysis.flow.races import load_candidates

@@ -1,31 +1,25 @@
-"""Engine-neutral execution layer: plans, executors, deterministic merge.
+"""Engine-neutral execution layer: plans, one executor, deterministic merge.
 
 Experiments describe *what* to simulate as an :class:`ExecutionPlan` —
 an ordered list of independent :class:`SimUnit` specs plus a reduce
-function — and an executor decides *where* the units run:
+function — and an :class:`Executor` decides *where* the units run:
 
-* :class:`InProcessExecutor` — the existing behaviour: every unit runs
-  sequentially on this process's event loop.
-* :class:`ShardedExecutor` — partitions units across worker processes
+* ``Executor()`` — one shard: every unit runs in plan order in this
+  process.
+* ``Executor(shards)`` — partitions units across worker processes
   (deterministic longest-processing-time assignment), runs each shard's
   units in plan order, and merges per-unit event streams, metrics
   snapshots, spans, and fault timelines back into one result with a
-  stable global order.
+  stable global order.  Each worker opens its own observability capture
+  with the parent session's switches.
 
-The invariant both backends uphold: **same seed, same plan ⇒ bit
-identical merged results, for any shard count** — unit outputs depend
-only on their parameters (each builds its own seeded environment), and
-the merge is keyed by unit index, never by completion order.
+The invariant it upholds: **same seed, same plan ⇒ bit identical merged
+results, for any shard count** — unit outputs depend only on their
+parameters (each builds its own seeded environment), and the merge is
+keyed by unit index, never by completion order.
 """
 
-from repro.exec.executors import (
-    ExecutionError,
-    Executor,
-    InProcessExecutor,
-    ShardedExecutor,
-    make_executor,
-    run_unit,
-)
+from repro.exec.executors import ExecutionError, Executor, run_unit
 from repro.exec.merge import MergedArtifacts, merge_results
 from repro.exec.plan import ExecutionPlan, ExecutionResult, SimUnit, UnitResult
 
@@ -34,12 +28,9 @@ __all__ = [
     "ExecutionPlan",
     "ExecutionResult",
     "Executor",
-    "InProcessExecutor",
     "MergedArtifacts",
-    "ShardedExecutor",
     "SimUnit",
     "UnitResult",
-    "make_executor",
     "merge_results",
     "run_unit",
 ]

@@ -1,4 +1,4 @@
-"""Plan executors: in-process, and sharded across worker processes.
+"""The plan executor: one shard in this process, or worker processes.
 
 This module is the one place the reproduction touches process-level
 machinery (``multiprocessing``, ``os.getpid``, wall-clock timing for
@@ -30,41 +30,31 @@ from repro.exec.plan import (
     resolve_unit_fn,
 )
 
-__all__ = ["ExecutionError", "Executor", "InProcessExecutor",
-           "ShardedExecutor", "assign_units", "make_executor", "run_unit"]
+__all__ = ["ExecutionError", "Executor", "assign_units", "run_unit"]
 
 
 class ExecutionError(RuntimeError):
     """A unit or worker shard failed; carries the worker traceback."""
 
 
-def run_unit(unit: SimUnit, shard: int = 0, trace: Optional[bool] = None,
-             profile: Optional[bool] = None,
-             telemetry: Optional[bool] = None) -> UnitResult:
+def run_unit(unit: SimUnit, shard: int = 0) -> UnitResult:
     """Run one unit in this process and harvest its observability.
 
     The unit function executes inside a nested ``obs.capture`` session
-    (inheriting the outer session's switches unless overridden), so
-    every environment it builds through :mod:`repro.systems` is
-    collected: metrics snapshots, spans, event counts, and the final
-    simulated clock all land on the :class:`UnitResult`.  Contexts are
-    re-registered with any outer session afterwards, keeping CLI-level
-    ``--metrics``/``--trace`` working through the plan path.
+    with the outer session's switches, so every environment it builds
+    through :mod:`repro.systems` is collected: metrics snapshots, spans,
+    event counts, and the final simulated clock all land on the
+    :class:`UnitResult`.  Contexts are re-registered with any outer
+    session afterwards, keeping CLI-level ``--metrics``/``--trace``
+    working through the plan path.
     """
     from repro import obs
     from repro.obs.context import current_session
 
     fn = resolve_unit_fn(unit.fn)
     session = current_session()
-    want_trace = trace if trace is not None else (
-        session.trace if session is not None else False)
-    want_profile = profile if profile is not None else (
-        session.profile if session is not None else False)
-    want_telemetry = telemetry if telemetry is not None else (
-        getattr(session, "telemetry", False) if session is not None else False)
     t0 = time.perf_counter()
-    with obs.capture(trace=want_trace, profile=want_profile,
-                     telemetry=want_telemetry) as cap:
+    with obs.capture(*_switches(session)) as cap:
         payload = fn(**unit.params)
     wall = time.perf_counter() - t0
 
@@ -102,6 +92,14 @@ def run_unit(unit: SimUnit, shard: int = 0, trace: Optional[bool] = None,
     )
 
 
+def _switches(session: Any) -> Tuple[bool, bool, bool]:
+    """``(trace, profile, telemetry)`` of a capture session; all off
+    outside one."""
+    if session is None:
+        return (False, False, False)
+    return (session.trace, session.profile, session.telemetry)
+
+
 def assign_units(units: Sequence[SimUnit], shards: int) -> List[List[SimUnit]]:
     """Deterministic LPT partition: heaviest first onto the lightest shard."""
     if shards < 1:
@@ -117,46 +115,21 @@ def assign_units(units: Sequence[SimUnit], shards: int) -> List[List[SimUnit]]:
     return buckets
 
 
-class Executor:
-    """Executes an :class:`ExecutionPlan`; subclasses pick the substrate."""
-
-    def execute(self, plan: ExecutionPlan) -> ExecutionResult:
-        raise NotImplementedError
-
-
-class InProcessExecutor(Executor):
-    """The classic backend: every unit on this process's event loop."""
-
-    def execute(self, plan: ExecutionPlan) -> ExecutionResult:
-        t0 = time.perf_counter()
-        results = [run_unit(unit) for unit in plan.units]
-        merged = merge_results(plan, results)
-        return ExecutionResult(
-            value=plan.reduce(results),
-            results=results,
-            merged=merged,
-            shards=1,
-            backend="in-process",
-            wall_s=time.perf_counter() - t0,
-        )
-
-
 def _shard_worker(shard_id: int, units: List[SimUnit], conn: Any,
-                  trace: bool, profile: bool, telemetry: bool) -> None:
+                  switches: Tuple[bool, bool, bool]) -> None:
     """Worker-process entry point: run one shard's units in plan order.
 
     Runs in a child process (fork or spawn); the pid is reported for
     diagnostics only.  Any inherited capture session belongs to the
-    parent and is dropped before running.
+    parent, so the worker opens its own with the parent's switches —
+    a unit then harvests what it would have harvested in process.
     """
-    from repro.obs import context as obs_context
+    from repro import obs
 
-    obs_context._SESSION = None  # forked workers must not feed the parent's session
     pid = os.getpid()
     try:
-        results = [run_unit(unit, shard=shard_id, trace=trace,
-                            profile=profile, telemetry=telemetry)
-                   for unit in units]
+        with obs.capture(*switches):
+            results = [run_unit(unit, shard=shard_id) for unit in units]
         conn.send(("ok", shard_id, pid, results))
     except BaseException:  # noqa: BLE001 - worker must report, not die silently
         conn.send(("error", shard_id, pid, traceback.format_exc()))
@@ -164,29 +137,34 @@ def _shard_worker(shard_id: int, units: List[SimUnit], conn: Any,
         conn.close()
 
 
-class ShardedExecutor(Executor):
-    """Partitions units across worker processes; merges deterministically.
+class Executor:
+    """Runs an :class:`ExecutionPlan` and merges its units deterministically.
 
-    ``start_method`` picks the ``multiprocessing`` context (``fork`` is
-    the fast default on Linux; ``spawn`` is hygienic but pays a fresh
-    interpreter per worker).  ``inline`` runs each shard's units in this
-    process through the *same* partition/serialize/merge pipeline — the
-    degenerate backend used by determinism tests and single-CPU hosts,
-    bit-identical to the process backends by construction.
+    One shard runs every unit in plan order in this process.  More
+    shards partition the units with :func:`assign_units` and run each
+    shard in a worker process; ``start_method`` picks the
+    ``multiprocessing`` context (``fork`` is the fast default on Linux;
+    ``spawn``/``forkserver`` pay a fresh interpreter per worker).
+    ``inline`` runs each shard's units in this process through the
+    *same* partition/merge pipeline — the degenerate backend used by
+    determinism tests and single-CPU hosts, bit-identical to the
+    process backends by construction.
     """
 
-    def __init__(self, shards: int, start_method: str = "fork",
-                 trace: bool = False, profile: bool = False,
-                 telemetry: bool = False) -> None:
+    def __init__(self, shards: int = 1, start_method: str = "fork") -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if start_method not in ("fork", "spawn", "forkserver", "inline"):
             raise ValueError(f"unknown start method {start_method!r}")
         self.shards = shards
         self.start_method = start_method
-        self.trace = trace
-        self.profile = profile
-        self.telemetry = telemetry
+
+    @property
+    def backend(self) -> str:
+        """Where the units run: ``in-process`` or ``sharded/<method>``."""
+        if self.shards == 1:
+            return "in-process"
+        return f"sharded/{self.start_method}"
 
     def execute(self, plan: ExecutionPlan) -> ExecutionResult:
         t0 = time.perf_counter()
@@ -205,7 +183,7 @@ class ShardedExecutor(Executor):
             results=results,
             merged=merged,
             shards=self.shards,
-            backend=f"sharded/{self.start_method}",
+            backend=self.backend,
             wall_s=time.perf_counter() - t0,
             shard_wall_s=shard_walls,
         )
@@ -217,11 +195,7 @@ class ShardedExecutor(Executor):
         walls: List[float] = []
         for shard_id, units in enumerate(assignment):
             t0 = time.perf_counter()
-            shard_results.append(
-                [run_unit(u, shard=shard_id, trace=self.trace or None,
-                          profile=self.profile or None,
-                          telemetry=self.telemetry or None) for u in units]
-            )
+            shard_results.append([run_unit(u, shard=shard_id) for u in units])
             walls.append(time.perf_counter() - t0)
         return shard_results, walls
 
@@ -230,14 +204,16 @@ class ShardedExecutor(Executor):
     ) -> Tuple[List[List[UnitResult]], List[float]]:
         import multiprocessing as mp
 
+        from repro.obs.context import current_session
+
         ctx = mp.get_context(self.start_method)
+        switches = _switches(current_session())
         workers = []
         for shard_id, units in enumerate(assignment):
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_shard_worker,
-                args=(shard_id, units, child_conn, self.trace, self.profile,
-                      self.telemetry),
+                args=(shard_id, units, child_conn, switches),
                 name=f"repro-shard-{shard_id}",
             )
             t0 = time.perf_counter()
@@ -266,13 +242,3 @@ class ShardedExecutor(Executor):
         if failure is not None:
             raise ExecutionError(failure)
         return shard_results, walls
-
-
-def make_executor(shards: int = 1, start_method: Optional[str] = None,
-                  trace: bool = False, profile: bool = False,
-                  telemetry: bool = False) -> Executor:
-    """The CLI's routing rule: ``--shards 1`` keeps the classic engine."""
-    if shards <= 1 and start_method is None:
-        return InProcessExecutor()
-    return ShardedExecutor(max(1, shards), start_method=start_method or "fork",
-                           trace=trace, profile=profile, telemetry=telemetry)

@@ -30,7 +30,6 @@ from repro.sim.engine import (
 from repro.sim.fairshare import FairShareServer, Flow
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngHub
-from repro.sim.shard import BoundaryChannel, ShardCoordinator, fabric_lookahead
 
 # Counter/TraceRecorder live in repro.obs.metrics (the old repro.sim.trace
 # alias shim has been removed); re-exported here for workload code that
@@ -40,7 +39,6 @@ from repro.obs.metrics import Counter, TraceRecorder
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BoundaryChannel",
     "Counter",
     "Environment",
     "Event",
@@ -50,9 +48,7 @@ __all__ = [
     "Process",
     "Resource",
     "RngHub",
-    "ShardCoordinator",
     "Store",
     "Timeout",
     "TraceRecorder",
-    "fabric_lookahead",
 ]

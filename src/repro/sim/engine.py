@@ -88,8 +88,8 @@ class EngineTelemetry:
         """Fold the counters into a metrics registry (idempotent).
 
         ``engine.heap.pushes`` is the environment's scheduled-event
-        total — every push goes through ``_schedule``/``_schedule_at``,
-        which already count via ``_seq``.
+        total — every push goes through ``_schedule``, which already
+        counts via ``_seq``.
         """
         if self._published:
             return
@@ -425,19 +425,6 @@ class Environment:
         self._seq = seq + 1
         heapq.heappush(self._queue, (self._now + delay, seq, event))
 
-    def _schedule_at(self, event: Event, time: float) -> None:
-        """Schedule ``event`` at an absolute simulated time.
-
-        Used by the shard coordinator to inject boundary messages at
-        their delivery time; ``time`` must not precede the clock.
-        """
-        if time < self._now - 1e-12:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, event))
-
     def peek(self) -> Optional[float]:
         """Timestamp of the next pending event, or None when drained."""
         return self._queue[0][0] if self._queue else None
@@ -511,13 +498,10 @@ class Environment:
     def run_window(self, horizon: float) -> float:
         """Process every event strictly before ``horizon``; leave the rest.
 
-        The conservative-synchronization primitive: a shard may safely
-        run all events with ``t < horizon`` when every cross-shard
-        message sent during the window arrives at ``t >= horizon``
-        (guaranteed by the boundary channels' minimum latency).  Unlike
-        :meth:`run`, events *at* the horizon stay queued — they belong
-        to the next window, after message exchange — and the clock is
-        not advanced past the last processed event.
+        Steps a run in half-open windows ``[T, horizon)``, so the caller
+        can inspect the model between windows.  Unlike :meth:`run`, events
+        *at* the horizon stay queued for the next window, and the clock
+        is not advanced past the last processed event.
         """
         # For floats, t >= horizon  <=>  t > nextafter(horizon, -inf).
         self._loop(math.nextafter(horizon, -math.inf))

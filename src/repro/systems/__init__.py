@@ -16,22 +16,18 @@ from repro.systems.registry import (
     SystemHandle,
     SystemSpec,
     build,
-    build_shards,
     get,
     names,
     register,
     specs,
-    split_ranks,
 )
 
 __all__ = [
     "SystemHandle",
     "SystemSpec",
     "build",
-    "build_shards",
     "get",
     "names",
     "register",
     "specs",
-    "split_ranks",
 ]

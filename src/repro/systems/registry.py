@@ -23,7 +23,7 @@ from repro.errors import UnknownSystem
 from repro.sim.engine import Environment
 
 __all__ = ["SystemSpec", "SystemHandle", "register", "get", "names", "specs",
-           "build", "build_shards", "split_ranks"]
+           "build"]
 
 
 @dataclass(frozen=True)
@@ -186,50 +186,3 @@ def specs() -> List[SystemSpec]:
 def build(name: str, **kwargs: Any) -> SystemHandle:
     """Build a registered system: ``build("glusterfs", nprocs=28, ...)``."""
     return get(name).build(**kwargs)
-
-
-def split_ranks(nprocs: int, shards: int) -> List[int]:
-    """Deterministic near-even split of ``nprocs`` ranks across shards.
-
-    Early shards take the remainder, so sizes differ by at most one and
-    the mapping depends only on the two integers.  Shards beyond
-    ``nprocs`` get zero ranks (and :func:`build_shards` skips them).
-    """
-    if shards < 1:
-        raise UnknownSystem(f"shards must be >= 1, got {shards}")
-    base, extra = divmod(nprocs, shards)
-    return [base + (1 if s < extra else 0) for s in range(shards)]
-
-
-def build_shards(
-    name: str, shards: int, *, nprocs: int, seed: int = 0,
-    shard_seed_stride: int = 65537, **kwargs: Any
-) -> List[SystemHandle]:
-    """Build one :class:`SystemHandle` per shard for a partitioned fleet.
-
-    Each shard gets its own environment, a near-even contiguous block of
-    ranks (:func:`split_ranks`), and an independent seed stream
-    (``seed * shard_seed_stride + shard`` — collision-free for the int
-    seeds the builders take), so shards simulate independently and a
-    :class:`~repro.sim.shard.ShardCoordinator` or the multi-process
-    executor can drive them.  The shard index and rank offset land in
-    ``handle.extras`` for workloads that need globally unique rank
-    names.  Failure-domain-aware topology partitioning lives in
-    :func:`repro.topology.failure_domains.partition_nodes`; deployments
-    built per shard here are whole fleets in miniature, so every blast
-    radius is shard-local by construction.
-    """
-    sizes = split_ranks(nprocs, shards)
-    handles: List[SystemHandle] = []
-    offset = 0
-    for shard, size in enumerate(sizes):
-        if size == 0:
-            continue
-        handle = build(name, nprocs=size,
-                       seed=seed * shard_seed_stride + shard, **kwargs)
-        handle.extras["shard"] = shard
-        handle.extras["shards"] = shards
-        handle.extras["rank_offset"] = offset
-        offset += size
-        handles.append(handle)
-    return handles

@@ -22,7 +22,7 @@ from repro.topology.cluster import ClusterSpec, Node
 from repro.topology.network import NetworkTopology
 
 __all__ = ["FailureDomain", "derive_failure_domains", "partner_domains",
-           "partition_domains", "partition_nodes"]
+           "partition_domains"]
 
 
 @dataclass
@@ -81,37 +81,28 @@ def _domain_distance(
 
 
 def partition_domains(
-    domains: List[FailureDomain], shards: int
+    domains: List[FailureDomain], parts: int
 ) -> List[List[FailureDomain]]:
-    """Partition whole failure domains across ``shards``, never splitting one.
+    """Partition whole failure domains into ``parts`` groups, never splitting one.
 
-    Sharded runs want fault blast radii to stay shard-local: a PDU or
-    ToR fault touches every node in its domain, so a domain split across
-    shards would force cross-shard fault propagation on every injection.
-    Assignment is deterministic LPT by node count (largest domain first
-    onto the least-loaded shard; ties break by domain id, then shard
-    index), and each shard's domains come back sorted by domain id.
+    A PDU or ToR fault touches every node in its domain, so a group that
+    holds whole domains keeps every blast radius inside it (the zones of
+    :meth:`repro.topology.zones.ZoneMap.federate`).  Assignment is
+    deterministic LPT by node count (largest domain first onto the
+    least-loaded group; ties break by domain id, then group index), and
+    each group's domains come back sorted by domain id.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    buckets: List[List[FailureDomain]] = [[] for _ in range(shards)]
-    loads = [0] * shards
+    if parts < 1:
+        raise ValueError(f"parts must be >= 1, got {parts}")
+    buckets: List[List[FailureDomain]] = [[] for _ in range(parts)]
+    loads = [0] * parts
     for domain in sorted(domains, key=lambda d: (-len(d.nodes), d.domain_id)):
-        target = min(range(shards), key=lambda s: (loads[s], s))
+        target = min(range(parts), key=lambda s: (loads[s], s))
         buckets[target].append(domain)
         loads[target] += len(domain.nodes)
     for bucket in buckets:
         bucket.sort(key=lambda d: d.domain_id)
     return buckets
-
-
-def partition_nodes(cluster: ClusterSpec, shards: int) -> List[List[Node]]:
-    """Node lists per shard, grouped by failure domain (see above)."""
-    partition = partition_domains(derive_failure_domains(cluster), shards)
-    return [
-        sorted((n for d in bucket for n in d.nodes), key=lambda n: n.name)
-        for bucket in partition
-    ]
 
 
 def partner_domains(

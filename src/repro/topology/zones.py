@@ -113,7 +113,7 @@ class ZoneMap:
     def federate(cls, cluster: ClusterSpec, zones: int = 2) -> "ZoneMap":
         """Partition the cluster's failure domains into ``zones`` zones.
 
-        Reuses the shard partitioner (deterministic LPT over whole
+        Uses :func:`partition_domains` (deterministic LPT over whole
         domains), so a zone is always a union of failure domains and the
         assignment is reproducible from the cluster spec alone.
         """

@@ -10,7 +10,6 @@ from repro.analysis.sanitize import (
 )
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
-from repro.sim.shard import ShardCoordinator
 
 
 def _monitored_env():
@@ -281,27 +280,3 @@ def test_windowed_runs_feed_the_monitor():
     (monitor,) = s.monitors
     assert env.events_scheduled == 7  # bootstrap, five timeouts, completion
     assert monitor.events == env.events_scheduled
-
-
-def test_sharded_coordinator_run_is_fully_monitored():
-    with session() as s:
-        a, b = Environment(), Environment()
-        attach_if_active(a, label="a")
-        attach_if_active(b, label="b")
-        coord = ShardCoordinator([a, b])
-        ab = coord.channel(0, 1, latency=1e-3)
-        ba = coord.channel(1, 0, latency=1e-3)
-
-        def side(inbox, outbox, first):
-            if first:
-                outbox.send(0)
-            for _ in range(3):
-                value = yield inbox.recv()
-                outbox.send(value + 1)
-
-        a.process(side(ba, ab, True))
-        b.process(side(ab, ba, False))
-        coord.run()
-    assert coord.windows > 0
-    assert [m.events for m in s.monitors] == [a.events_scheduled, b.events_scheduled]
-    assert all(m.events > 0 for m in s.monitors)

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from repro.exec import (
     ExecutionError,
     ExecutionPlan,
-    InProcessExecutor,
-    ShardedExecutor,
+    Executor,
     SimUnit,
-    make_executor,
     merge_results,
     run_unit,
 )
@@ -66,8 +64,8 @@ def test_assign_units_is_deterministic_lpt():
 def test_same_seed_same_merged_hash_for_any_shard_count(seeds, shards):
     """Hypothesis property: seeds fully determine the merged event-stream
     hash; the shard count and backend must not leak into it."""
-    reference = InProcessExecutor().execute(_plan(seeds))
-    sharded = ShardedExecutor(shards, start_method="inline").execute(_plan(seeds))
+    reference = Executor().execute(_plan(seeds))
+    sharded = Executor(shards, start_method="inline").execute(_plan(seeds))
     assert sharded.merged.fingerprint == reference.merged.fingerprint
     assert sharded.merged.events_scheduled == reference.merged.events_scheduled
     assert sharded.merged.sim_now == reference.merged.sim_now
@@ -81,8 +79,8 @@ def test_process_backend_matches_inline_bit_for_bit():
     """fork workers produce the same merged artefacts as the in-process
     pipeline — the cross-process half of the bit-identity claim."""
     plan = _plan([11, 22, 33, 44], steps=3)
-    inline = ShardedExecutor(2, start_method="inline").execute(plan)
-    forked = ShardedExecutor(2, start_method="fork").execute(plan)
+    inline = Executor(2, start_method="inline").execute(plan)
+    forked = Executor(2, start_method="fork").execute(plan)
     assert forked.merged.fingerprint == inline.merged.fingerprint
     assert forked.backend == "sharded/fork"
     assert forked.shards == 2
@@ -92,8 +90,8 @@ def test_process_backend_matches_inline_bit_for_bit():
 
 def test_more_shards_than_units_is_fine():
     plan = _plan([7], steps=2)
-    result = ShardedExecutor(4, start_method="fork").execute(plan)
-    assert result.merged.fingerprint == InProcessExecutor().execute(
+    result = Executor(4, start_method="fork").execute(plan)
+    assert result.merged.fingerprint == Executor().execute(
         plan).merged.fingerprint
 
 
@@ -102,7 +100,7 @@ def test_more_shards_than_units_is_fine():
 
 def test_merged_metrics_and_timeline_roll_up():
     plan = _plan([1, 2, 3], steps=5)
-    merged = InProcessExecutor().execute(plan).merged
+    merged = Executor().execute(plan).merged
     flat = merged.metrics.flat()
     assert flat["unit.steps"] == 15  # counters add across units
     assert flat["unit.delay.count"] == 15.0
@@ -117,7 +115,7 @@ def test_cross_shard_blast_radius_is_annotated():
     # Units 1 and 3 share a failure domain (seed % 2 == 1 -> rack1/pdu0),
     # and land on different sides of the merge.
     plan = _plan([1, 2, 3, 4], steps=2)
-    merged = InProcessExecutor().execute(plan).merged
+    merged = Executor().execute(plan).merged
     assert merged.timeline.cross_shard_domains() == ["rack0/pdu0", "rack1/pdu0"]
 
 
@@ -155,28 +153,31 @@ def test_worker_failure_raises_with_traceback():
                      params={"message": "shard exploded"})]
     plan = ExecutionPlan(title="fails", units=units, reduce=lambda rs: rs)
     with pytest.raises(ExecutionError, match="shard exploded"):
-        ShardedExecutor(2, start_method="fork").execute(plan)
+        Executor(2, start_method="fork").execute(plan)
     # Single-shard and in-process runs surface the raw exception in situ.
     with pytest.raises(RuntimeError, match="shard exploded"):
-        ShardedExecutor(1, start_method="fork").execute(plan)
+        Executor(1, start_method="fork").execute(plan)
     with pytest.raises(RuntimeError, match="shard exploded"):
-        InProcessExecutor().execute(plan)
+        Executor().execute(plan)
 
 
 def test_bad_executor_args_rejected():
     with pytest.raises(ValueError):
-        ShardedExecutor(0)
+        Executor(0)
     with pytest.raises(ValueError):
-        ShardedExecutor(2, start_method="threads")
+        Executor(2, start_method="threads")
 
 
-def test_make_executor_routing():
-    assert isinstance(make_executor(1), InProcessExecutor)
-    sharded = make_executor(4)
-    assert isinstance(sharded, ShardedExecutor)
-    assert sharded.shards == 4 and sharded.start_method == "fork"
-    inline = make_executor(1, start_method="inline")
-    assert isinstance(inline, ShardedExecutor)
+def test_backend_names_where_units_ran():
+    """One shard runs in this process whatever the start method; more
+    shards report the method that ran them."""
+    assert Executor().backend == "in-process"
+    assert Executor(1, start_method="fork").backend == "in-process"
+    assert Executor(2, start_method="inline").backend == "sharded/inline"
+    single = Executor(1, start_method="fork").execute(_plan([3]))
+    assert (single.backend, single.shards) == ("in-process", 1)
+    inline = Executor(2, start_method="inline").execute(_plan([3, 4]))
+    assert (inline.backend, inline.shards) == ("sharded/inline", 2)
 
 
 # -- the pinned fig7a baseline through the sharded path -----------------------
@@ -186,8 +187,8 @@ def test_fig7a_pinned_baseline_through_sharded_path():
     """The fig7a reference workload (``tests/golden/fig7a_ref.json``)
     survives the plan refactor bit-for-bit on every backend."""
     plan = fig7a_unit_plan()
-    in_process = InProcessExecutor().execute(plan)
-    forked = ShardedExecutor(2, start_method="fork").execute(plan)
+    in_process = Executor().execute(plan)
+    forked = Executor(2, start_method="fork").execute(plan)
     assert in_process.value["time_s"] == FIG7A_REF["makespan_s"]
     assert in_process.merged.fingerprint == FIG7A_REF["merged_fingerprint"]
     assert forked.merged.fingerprint == in_process.merged.fingerprint

@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.analysis.sanitize import session
-from repro.exec import ExecutionPlan, ShardedExecutor, SimUnit
+from repro.exec import ExecutionPlan, Executor, SimUnit
 from repro.units import KiB, MiB
 from tests.conftest import FIG7A_REF, fig7a_run
 
@@ -120,11 +120,11 @@ def _fig7a_plan(n_units=4):
 def test_counters_merge_identically_across_shard_counts(shards):
     plan = _fig7a_plan()
     with obs.capture(telemetry=True) as cap_one:
-        one = ShardedExecutor(1, start_method="inline").execute(plan)
+        one = Executor(1, start_method="inline").execute(plan)
     counters_one = [_engine_counters(c) for c in cap_one.contexts]
 
     with obs.capture(telemetry=True) as cap_n:
-        many = ShardedExecutor(shards, start_method="inline").execute(plan)
+        many = Executor(shards, start_method="inline").execute(plan)
     counters_n = [_engine_counters(c) for c in cap_n.contexts]
 
     assert one.merged.fingerprint == many.merged.fingerprint
@@ -135,3 +135,14 @@ def test_counters_merge_identically_across_shard_counts(shards):
     key = lambda c: sorted(c.items())
     assert sorted(counters_one, key=key) == sorted(counters_n, key=key)
     assert all(c["engine.heap.pushes"] > 0 for c in counters_one)
+
+
+def test_forked_workers_capture_with_the_parent_sessions_switches():
+    """A worker process opens its own capture with the parent's
+    switches, so forked units harvest what inline units harvest."""
+    plan = _fig7a_plan(2)
+    with obs.capture(telemetry=True):
+        inline = Executor(2, start_method="inline").execute(plan)
+        forked = Executor(2, start_method="fork").execute(plan)
+    assert forked.merged.fingerprint == inline.merged.fingerprint
+    assert "engine.coroutine.resumes" in forked.merged.metrics.flat()
