@@ -18,9 +18,12 @@ NVMe-CR and differs exactly where the paper says it differs:
 * :mod:`burstfs`   — a node-local burst buffer (BurstFS/UnifyFS-class),
   the §II-B design NVMe-CR's disaggregation argument contrasts with.
 
-All clients expose the same duck-typed intercepted-POSIX surface as
+Every client is a :class:`~repro.baselines.common.BaselineClient`: one
+fd table and one POSIX contract (modes, ``O_CREAT`` reservation,
+``pwrite``/``pread``, errors), the surface of
 :class:`~repro.core.interception.PosixShim`, so the CoMD proxy and the
-checkpoint drivers run unmodified against any of them.
+checkpoint drivers run unmodified against any of them. Each system's
+module keeps only its file record and its costs.
 """
 
 from repro.baselines.burstfs import BurstBufferCluster

@@ -19,13 +19,13 @@ protects. The comparison bench quantifies both sides:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Set
 
+from repro.baselines.common import BaselineClient, BaselineFile
 from repro.baselines.lustre import LustreCluster
 from repro.bench import calibration as cal
-from repro.errors import BadFileDescriptor, FileNotFound, OutOfSpace, RecoveryError
+from repro.errors import OutOfSpace, RecoveryError
 from repro.io.qos import QoSClass
 from repro.nvme.commands import Payload
 from repro.nvme.device import SSD, SSDSpec, generic_nand_ssd
@@ -38,20 +38,10 @@ __all__ = ["BurstBufferCluster", "BurstBufferClient"]
 
 
 @dataclass
-class _BFile:
-    path: str
-    node: str
-    size: int = 0
+class _BFile(BaselineFile):
+    node: str = ""  # the compute node whose local buffer holds the file
     offset: int = -1
     drained: bool = False
-
-
-@dataclass
-class _BFD:
-    fd: int
-    file: _BFile
-    pos: int = 0
-    open_: bool = True
 
 
 class BurstBufferCluster:
@@ -80,6 +70,7 @@ class BurstBufferCluster:
             self.node_namespaces[node] = ns.nsid
             self._cursors[node] = 0
         self.files: Dict[str, _BFile] = {}
+        self.dirs: set = {"/"}
         self.failed_nodes: Set[str] = set()
         self.counters = Counter()
 
@@ -107,127 +98,62 @@ class BurstBufferCluster:
         return sum(1 for f in self.files.values() if not f.drained)
 
 
-class BurstBufferClient:
+class BurstBufferClient(BaselineClient):
     """One rank's burst-buffer mount on its own compute node."""
 
+    file_type = _BFile
+
     def __init__(self, cluster: BurstBufferCluster, name: str, node: str):
+        super().__init__(cluster.env, name, cluster.files, cluster.dirs)
         self.cluster = cluster
-        self.env = cluster.env
-        self.name = name
         self.node = node
         self.ssd = cluster.node_ssds[node]
         self.nsid = cluster.node_namespaces[node]
-        self.counters = Counter()
-        self._fds: Dict[int, _BFD] = {}
-        self._fd_counter = itertools.count(3)
 
-    # -- shim surface ----------------------------------------------------------------------
+    # -- system hooks ----------------------------------------------------------------------
 
-    def open(self, path: str, mode: str = "r") -> Generator[Event, Any, int]:
+    def _enter(self, op: str) -> Generator[Event, Any, None]:
         yield self.env.timeout(cal.METADATA_OP_CPU)
-        file = self.cluster.files.get(path)
-        if file is None:
-            if mode == "r":
-                raise FileNotFound(path)
-            file = _BFile(path=path, node=self.node)
-            self.cluster.files[path] = file
-            self.counters.add("creates")
-        fd = _BFD(next(self._fd_counter), file)
-        if mode == "a":
-            fd.pos = file.size
-        self._fds[fd.fd] = fd
-        return fd.fd
 
-    def _fd(self, fd: int) -> _BFD:
-        entry = self._fds.get(fd)
-        if entry is None or not entry.open_:
-            raise BadFileDescriptor(f"fd {fd}")
-        return entry
+    def _do_create(self, file: _BFile) -> Generator[Event, Any, None]:
+        file.node = self.node
+        yield from ()
 
-    def write(self, fd: int, data) -> Generator[Event, Any, int]:
-        entry = self._fd(fd)
-        nbytes = data if isinstance(data, int) else (
-            data.nbytes if isinstance(data, Payload) else len(data)
-        )
-        payload = (
-            data if isinstance(data, Payload)
-            else Payload.synthetic(f"{self.name}:{entry.file.path}", nbytes)
-            if isinstance(data, int)
-            else Payload.of_bytes(data)
-        )
+    def _do_write(self, file: _BFile, offset: int, payload: Payload) -> Generator[Event, Any, int]:
+        nbytes = payload.nbytes
         n_cmds = max(1, -(-nbytes // KiB(128)))
         yield self.env.timeout(n_cmds * cal.SPDK_SUBMIT_COST)
-        offset = self.cluster.allocate(self.node, max(nbytes, 1))
-        if entry.file.offset < 0:
-            entry.file.offset = offset
-        yield self.ssd.write(self.nsid, offset, payload, KiB(128), qos=QoSClass.CKPT_DATA)
-        entry.pos += nbytes
-        entry.file.size = max(entry.file.size, entry.pos)
-        entry.file.drained = False
-        self.counters.add("app_bytes_written", nbytes)
+        device_offset = self.cluster.allocate(self.node, max(nbytes, 1))
+        if file.offset < 0:
+            file.offset = device_offset
+        yield self.ssd.write(self.nsid, device_offset, payload, KiB(128), qos=QoSClass.CKPT_DATA)
+        file.drained = False
         return nbytes
 
-    def pwrite(self, fd: int, data, offset: int) -> Generator[Event, Any, int]:
-        entry = self._fd(fd)
-        entry.pos = offset
-        return (yield from self.write(fd, data))
-
-    def read(self, fd: int, nbytes: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        nbytes = max(0, min(nbytes, entry.file.size - entry.pos))
-        if nbytes:
-            file = entry.file
-            if file.node in self.cluster.failed_nodes:
-                if not file.drained:
-                    raise RecoveryError(
-                        f"{file.path}: burst buffer on {file.node} lost and "
-                        f"file never drained to the PFS"
-                    )
-                yield from self.cluster.pfs.read_file(file.path)
-            elif file.node == self.node:
-                yield self.ssd.read(
-                    self.nsid, max(file.offset, 0), nbytes, KiB(128),
-                    qos=QoSClass.BEST_EFFORT,
+    def _do_read(self, file: _BFile, offset: int, nbytes: int) -> Generator[Event, Any, None]:
+        if file.node in self.cluster.failed_nodes:
+            if not file.drained:
+                raise RecoveryError(
+                    f"{file.path}: burst buffer on {file.node} lost and "
+                    f"file never drained to the PFS"
                 )
-            else:
-                # Cross-node read: remote ranks pull via the PFS copy.
-                if not file.drained:
-                    raise RecoveryError(
-                        f"{file.path}: resides on {file.node}'s local buffer, "
-                        f"not yet drained — unreachable from {self.node}"
-                    )
-                yield from self.cluster.pfs.read_file(file.path)
-        entry.pos += nbytes
-        self.counters.add("app_bytes_read", nbytes)
-        return [Payload.synthetic(entry.file.path, nbytes)] if nbytes else []
+            yield from self.cluster.pfs.read_file(file.path)
+        elif file.node == self.node:
+            yield self.ssd.read(
+                self.nsid, max(file.offset, 0), nbytes, KiB(128),
+                qos=QoSClass.BEST_EFFORT,
+            )
+        else:
+            # Cross-node read: remote ranks pull via the PFS copy.
+            if not file.drained:
+                raise RecoveryError(
+                    f"{file.path}: resides on {file.node}'s local buffer, "
+                    f"not yet drained — unreachable from {self.node}"
+                )
+            yield from self.cluster.pfs.read_file(file.path)
 
-    def pread(self, fd: int, nbytes: int, offset: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        entry.pos = offset
-        return (yield from self.read(fd, nbytes))
-
-    def fsync(self, fd: int) -> Generator[Event, Any, None]:
-        self._fd(fd)
+    def _do_fsync(self, file: _BFile) -> Generator[Event, Any, None]:
         yield self.ssd.flush(self.nsid)
-
-    def close(self, fd: int) -> Generator[Event, Any, None]:
-        entry = self._fd(fd)
-        yield self.env.timeout(0)
-        entry.open_ = False
-        del self._fds[fd]
-
-    def mkdir(self, path: str, mode: int = 0o755) -> Generator[Event, Any, None]:
-        yield self.env.timeout(cal.METADATA_OP_CPU)
-
-    def unlink(self, path: str) -> Generator[Event, Any, None]:
-        yield self.env.timeout(cal.METADATA_OP_CPU)
-        self.cluster.files.pop(path, None)
-
-    def stat(self, path: str) -> _BFile:
-        file = self.cluster.files.get(path)
-        if file is None:
-            raise FileNotFound(path)
-        return file
 
     # -- draining -------------------------------------------------------------------------
 

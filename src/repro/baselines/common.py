@@ -1,4 +1,4 @@
-"""Shared machinery for distributed baseline filesystems.
+"""Shared machinery for the baseline storage systems.
 
 A baseline *cluster* owns one :class:`StorageServer` per storage node —
 a namespace on that node's SSD, a bump allocator over it, and an IO
@@ -6,9 +6,11 @@ service resource modelling the server's software stack throughput
 ceiling ("these storage systems overlay multiple software layers over
 POSIX filesystems which decrease the peak attainable bandwidth", §I-A).
 
-A baseline *client* (one per rank) implements the same duck-typed
-intercepted-POSIX surface as :class:`~repro.core.interception.PosixShim`
-so workloads are system-agnostic.
+A baseline *client* (one per rank) is a :class:`BaselineClient`: the
+one fd table and POSIX contract every baseline shares, the same
+intercepted-POSIX surface as :class:`~repro.core.interception.PosixShim`,
+so workloads are system-agnostic. Each system's module keeps only its
+file record and its costs.
 """
 
 from __future__ import annotations
@@ -102,10 +104,14 @@ class StorageServer:  # reproflow: ignore[FLOW103] (one server coroutine per ins
 
 @dataclass
 class BaselineFile:
-    """Server-side file record of a baseline filesystem."""
+    """Server-side file record of a baseline filesystem. A system whose
+    records carry more (an extent, a home node) subclasses it and names
+    the subclass in its client's ``file_type``."""
 
     path: str
     size: int = 0
+    # Bytes written but not yet written back (page-cache systems).
+    dirty: int = 0
     # (server_index, device_offset, nbytes) pieces in file order.
     placement: List[tuple] = field(default_factory=list)
     # Lazily-created per-file write lock (shared-namespace POSIX
@@ -116,24 +122,41 @@ class BaselineFile:
 
 @dataclass
 class _FD:
-    fd: int
     file: BaselineFile
+    writable: bool
     pos: int = 0
-    open_: bool = True
 
 
 class BaselineClient:
-    """Common fd-table plumbing; subclasses implement the data/metadata
-    paths via ``_do_create``, ``_do_write``, ``_do_read``, ``_do_fsync``,
-    ``_do_unlink``, ``_do_mkdir``."""
+    """One rank's intercepted-POSIX view of a baseline filesystem.
 
-    def __init__(self, env: Environment, name: str, files: Dict[str, BaselineFile],
-                 dirs: set, counters: Optional[Counter] = None):
+    This is the one fd table and POSIX contract of :mod:`repro.baselines`:
+    ``r``/``w``/``a``/``x`` modes, ``O_CREAT`` name reservation,
+    truncation on ``w``, positional IO that leaves the offset alone, and
+    the errors :class:`~repro.core.interception.PosixShim` raises. A
+    system supplies only its file record (``file_type``) and its costs:
+
+    * ``_enter(op)`` — paid by ``open``, ``mkdir`` and ``unlink`` before
+      the namespace is consulted (a kernel trap, an MDS round trip);
+    * ``_do_create``, ``_do_write``, ``_do_read``, ``_do_fsync``,
+      ``_do_close``, ``_do_mkdir``, ``_do_unlink`` — paid on success.
+
+    Ordering rule: entry costs come before the namespace is consulted
+    and success costs after it, so a call that raises has already paid
+    its system's entry cost (a second ext4 ``mkdir`` pays its trap, then
+    raises :class:`FileExists`). A system must not move a cost across an
+    existence check: the pinned tables depend on that order, and the
+    drivers that ``mkdir`` a shared directory catch ``FileExists``.
+    """
+
+    file_type = BaselineFile
+
+    def __init__(self, env: Environment, name: str, files: Dict[str, BaselineFile], dirs: set):
         self.env = env
         self.name = name
-        self.files = files  # shared, global namespace!
+        self.files = files  # the system's namespace, shared by its clients
         self.dirs = dirs
-        self.counters = counters if counters is not None else Counter()
+        self.counters = Counter()
         self._fds: Dict[int, _FD] = {}
         self._fd_counter = itertools.count(3)
 
@@ -142,6 +165,7 @@ class BaselineClient:
     def open(self, path: str, mode: str = "r") -> Generator[Event, Any, int]:
         if mode not in ("r", "w", "a", "x"):
             raise InvalidArgument(f"unsupported mode {mode!r}")
+        yield from self._enter("open")
         file = self.files.get(path)
         if mode == "r":
             if file is None:
@@ -152,22 +176,21 @@ class BaselineClient:
             # Reserve the name *before* the create's simulated time
             # elapses: O_CREAT is atomic, so concurrent creators of the
             # same path must converge on one file object.
-            file = BaselineFile(path=path)
+            file = self.file_type(path=path)
             self.files[path] = file
-            yield from self._do_create(path)
+            yield from self._do_create(file)
             self.counters.add("creates")
         elif mode == "w":
             file.size = 0  # truncate; no create cost
-        fd = _FD(next(self._fd_counter), file)
-        if mode == "a":
-            fd.pos = file.size
-        self._fds[fd.fd] = fd
+            file.dirty = 0
+        fd = next(self._fd_counter)
+        self._fds[fd] = _FD(file, writable=mode != "r", pos=file.size if mode == "a" else 0)
         self.counters.add("opens")
-        return fd.fd
+        return fd
 
     def _fd(self, fd: int) -> _FD:
         entry = self._fds.get(fd)
-        if entry is None or not entry.open_:
+        if entry is None:
             raise BadFileDescriptor(f"fd {fd}")
         return entry
 
@@ -177,7 +200,8 @@ class BaselineClient:
         Only files with more than one writer pay: the first writer of a
         fresh file proceeds lock-free (N-N is unaffected); once a second
         writer appears, every 1 MiB lock unit serialises on the file's
-        lock — the N-1 collapse."""
+        lock — the N-1 collapse. Systems whose writes take the lock call
+        this first thing in ``_do_write``."""
         file.writers.add(self.name)
         if len(file.writers) < 2:
             return
@@ -188,56 +212,39 @@ class BaselineClient:
 
     def write(self, fd: int, data) -> Generator[Event, Any, int]:
         entry = self._fd(fd)
-        payload = self._payload(data, entry)
-        yield from self._file_lock(entry.file, payload.nbytes)
-        written = yield from self._do_write(entry.file, entry.pos, payload)
+        written = yield from self._write_at(entry, data, entry.pos)
         entry.pos += written
-        entry.file.size = max(entry.file.size, entry.pos)
-        self.counters.add("app_bytes_written", written)
         return written
 
     def pwrite(self, fd: int, data, offset: int) -> Generator[Event, Any, int]:
-        entry = self._fd(fd)
-        payload = self._payload(data, entry)
-        yield from self._file_lock(entry.file, payload.nbytes)
-        written = yield from self._do_write(entry.file, offset, payload)
-        entry.file.size = max(entry.file.size, offset + written)
-        self.counters.add("app_bytes_written", written)
-        return written
+        return (yield from self._write_at(self._fd(fd), data, offset))
 
     def read(self, fd: int, nbytes: int) -> Generator[Event, Any, List[Payload]]:
         entry = self._fd(fd)
-        nbytes = max(0, min(nbytes, entry.file.size - entry.pos))
-        if nbytes:
-            yield from self._do_read(entry.file, entry.pos, nbytes)
-        entry.pos += nbytes
-        self.counters.add("app_bytes_read", nbytes)
-        return [Payload.synthetic(f"{entry.file.path}@{entry.pos}", nbytes)] if nbytes else []
+        pieces = yield from self._read_at(entry.file, nbytes, entry.pos)
+        entry.pos += sum(p.nbytes for p in pieces)
+        return pieces
 
     def pread(self, fd: int, nbytes: int, offset: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        nbytes = max(0, min(nbytes, entry.file.size - offset))
-        if nbytes:
-            yield from self._do_read(entry.file, offset, nbytes)
-        return [Payload.synthetic(f"{entry.file.path}@{offset}", nbytes)] if nbytes else []
+        return (yield from self._read_at(self._fd(fd).file, nbytes, offset))
 
     def fsync(self, fd: int) -> Generator[Event, Any, None]:
-        entry = self._fd(fd)
-        yield from self._do_fsync(entry.file)
+        yield from self._do_fsync(self._fd(fd).file)
 
     def close(self, fd: int) -> Generator[Event, Any, None]:
         entry = self._fd(fd)
-        entry.open_ = False
         del self._fds[fd]
-        yield self.env.timeout(0)
+        yield from self._do_close(entry.file)
 
     def mkdir(self, path: str, mode: int = 0o755) -> Generator[Event, Any, None]:
+        yield from self._enter("mkdir")
         if path in self.dirs:
             raise FileExists(path)
         yield from self._do_mkdir(path)
         self.dirs.add(path)
 
     def unlink(self, path: str) -> Generator[Event, Any, None]:
+        yield from self._enter("unlink")
         file = self.files.get(path)
         if file is None:
             raise FileNotFound(path)
@@ -258,21 +265,44 @@ class BaselineClient:
 
     # -- helpers -------------------------------------------------------------------------
 
-    def _payload(self, data, entry: _FD) -> Payload:
+    def _write_at(self, entry: _FD, data, offset: int) -> Generator[Event, Any, int]:
+        if not entry.writable:
+            raise BadFileDescriptor(f"{entry.file.path} is open read-only")
+        payload = self._payload(data, entry.file, offset)
+        written = yield from self._do_write(entry.file, offset, payload)
+        entry.file.size = max(entry.file.size, offset + written)
+        self.counters.add("app_bytes_written", written)
+        return written
+
+    def _read_at(
+        self, file: BaselineFile, nbytes: int, offset: int
+    ) -> Generator[Event, Any, List[Payload]]:
+        nbytes = max(0, min(nbytes, file.size - offset))
+        if not nbytes:
+            return []
+        yield from self._do_read(file, offset, nbytes)
+        self.counters.add("app_bytes_read", nbytes)
+        return [Payload.synthetic(f"{file.path}@{offset}", nbytes)]
+
+    def _payload(self, data, file: BaselineFile, offset: int) -> Payload:
         if isinstance(data, Payload):
             return data
         if isinstance(data, bytes):
             return Payload.of_bytes(data)
         if isinstance(data, int):
-            return Payload.synthetic(f"{self.name}:{entry.file.path}:{entry.pos}", data)
+            return Payload.synthetic(f"{self.name}:{file.path}:{offset}", data)
         raise InvalidArgument(f"unsupported write data {type(data)!r}")
 
-    # -- subclass hooks --------------------------------------------------------------------
+    # -- system hooks ----------------------------------------------------------------------
 
-    def _do_create(self, path: str) -> Generator[Event, Any, None]:
-        """Charge the system-specific create cost (the file object is
-        already reserved by ``open``; any return value is ignored)."""
-        raise NotImplementedError
+    def _enter(self, op: str) -> Generator[Event, Any, None]:
+        """Charge entering ``open``/``mkdir``/``unlink`` (``op``), before
+        the namespace is consulted — so a call that raises pays it too."""
+        yield from ()
+
+    def _do_create(self, file: BaselineFile) -> Generator[Event, Any, None]:
+        """Charge the create cost (``open`` has already reserved ``file``)."""
+        yield from ()
 
     def _do_write(self, file: BaselineFile, offset: int, payload: Payload) -> Generator[Event, Any, int]:
         raise NotImplementedError
@@ -283,8 +313,11 @@ class BaselineClient:
     def _do_fsync(self, file: BaselineFile) -> Generator[Event, Any, None]:
         yield self.env.timeout(0)
 
-    def _do_mkdir(self, path: str) -> Generator[Event, Any, None]:
+    def _do_close(self, file: BaselineFile) -> Generator[Event, Any, None]:
         yield self.env.timeout(0)
 
+    def _do_mkdir(self, path: str) -> Generator[Event, Any, None]:
+        yield from ()
+
     def _do_unlink(self, file: BaselineFile) -> Generator[Event, Any, None]:
-        yield self.env.timeout(0)
+        yield from ()

@@ -10,14 +10,14 @@ payloads — the traffic metadata provenance eliminates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator
 
 from repro.apps.deployment import Deployment
+from repro.baselines.common import BaselineClient, BaselineFile
 from repro.bench import calibration as cal
-from repro.errors import BadFileDescriptor, FileNotFound, OutOfSpace
+from repro.errors import OutOfSpace
 from repro.fabric.nvmf import NVMfInitiator
 from repro.io.qos import QoSClass
 from repro.nvme.commands import Payload
@@ -30,18 +30,8 @@ __all__ = ["CrailCluster", "CrailClient"]
 
 
 @dataclass
-class _CFile:
-    path: str
-    size: int = 0
+class _CFile(BaselineFile):
     blocks: int = 0  # block count allocated via the MDS
-
-
-@dataclass
-class _CFD:
-    fd: int
-    file: _CFile
-    pos: int = 0
-    open_: bool = True
 
 
 class CrailCluster:
@@ -59,6 +49,7 @@ class CrailCluster:
         self.mds = Resource(self.env, capacity=1)
         self.mds_node = node
         self.files: Dict[str, _CFile] = {}
+        self.dirs: set = {"/"}
         self._cursor = 0
         self.counters = Counter()
 
@@ -74,17 +65,15 @@ class CrailCluster:
         return CrailClient(self, name, node_name)
 
 
-class CrailClient:
-    """One rank's Crail endpoint (shim-compatible)."""
+class CrailClient(BaselineClient):
+    """One rank's Crail endpoint: every namespace call is an MDS RPC."""
+
+    file_type = _CFile
 
     def __init__(self, cluster: CrailCluster, name: str, node_name: str):
+        super().__init__(cluster.env, name, cluster.files, cluster.dirs)
         self.cluster = cluster
-        self.env = cluster.env
-        self.name = name
         self.node_name = node_name
-        self.counters = Counter()
-        self._fds: Dict[int, _CFD] = {}
-        self._fd_counter = itertools.count(3)
         initiator = NVMfInitiator(self.env, node_name, cluster.deployment.fabric)
         self.session = initiator.connect(cluster.target)
 
@@ -100,104 +89,41 @@ class CrailClient:
         self.counters.add("mds_rpcs")
         self.counters.add("mds_wire_bytes", wire_bytes)
 
-    # -- shim surface ---------------------------------------------------------------------
+    # -- system hooks ---------------------------------------------------------------------
 
-    def open(self, path: str, mode: str = "r") -> Generator[Event, Any, int]:
+    def _enter(self, op: str) -> Generator[Event, Any, None]:
         yield from self._mds_rpc(cal.CRAIL_INODE_WIRE_BYTES)
-        file = self.cluster.files.get(path)
-        if file is None:
-            if mode == "r":
-                raise FileNotFound(path)
-            file = _CFile(path=path)
-            self.cluster.files[path] = file
-            self.counters.add("creates")
-        fd = _CFD(next(self._fd_counter), file)
-        if mode == "a":
-            fd.pos = file.size
-        self._fds[fd.fd] = fd
-        return fd.fd
 
-    def _fd(self, fd: int) -> _CFD:
-        entry = self._fds.get(fd)
-        if entry is None or not entry.open_:
-            raise BadFileDescriptor(f"fd {fd}")
-        return entry
-
-    def write(self, fd: int, data) -> Generator[Event, Any, int]:
-        entry = self._fd(fd)
-        nbytes = data if isinstance(data, int) else (
-            data.nbytes if isinstance(data, Payload) else len(data)
-        )
-        payload = (
-            data if isinstance(data, Payload)
-            else Payload.synthetic(f"{self.name}:{entry.file.path}:{entry.pos}", nbytes)
-            if isinstance(data, int)
-            else Payload.of_bytes(data)
-        )
+    def _do_write(self, file: _CFile, offset: int, payload: Payload) -> Generator[Event, Any, int]:
+        nbytes = payload.nbytes
         # Block allocation: one MDS RPC per Crail block, inode-sized
         # payloads each way. This is the 5-10 % of Figure 8(a).
-        end_blocks = math.ceil((entry.pos + nbytes) / cal.CRAIL_BLOCK_BYTES)
-        new_blocks = max(0, end_blocks - entry.file.blocks)
+        end_blocks = math.ceil((offset + nbytes) / cal.CRAIL_BLOCK_BYTES)
+        new_blocks = max(0, end_blocks - file.blocks)
         for _ in range(new_blocks):
             yield from self._mds_rpc(cal.CRAIL_INODE_WIRE_BYTES)
-        entry.file.blocks = end_blocks
+        file.blocks = end_blocks
         n_cmds = max(1, math.ceil(nbytes / KiB(128)))
         yield self.env.timeout(n_cmds * cal.SPDK_SUBMIT_COST)
-        offset = self.cluster.allocate(max(nbytes, 1))
+        device_offset = self.cluster.allocate(max(nbytes, 1))
         yield self.session.write(
-            self.cluster.namespace.nsid, offset, payload, KiB(128),
+            self.cluster.namespace.nsid, device_offset, payload, KiB(128),
             qos=QoSClass.CKPT_DATA,
         )
-        entry.pos += nbytes
-        entry.file.size = max(entry.file.size, entry.pos)
-        self.counters.add("app_bytes_written", nbytes)
         return nbytes
 
-    def pwrite(self, fd: int, data, offset: int) -> Generator[Event, Any, int]:
-        entry = self._fd(fd)
-        entry.pos = offset
-        return (yield from self.write(fd, data))
+    def _do_read(self, file: _CFile, offset: int, nbytes: int) -> Generator[Event, Any, None]:
+        # Block lookups batched per read but still via the MDS.
+        yield from self._mds_rpc(cal.CRAIL_INODE_WIRE_BYTES)
+        n_cmds = max(1, math.ceil(nbytes / KiB(128)))
+        yield self.env.timeout(n_cmds * cal.SPDK_SUBMIT_COST)
+        yield self.session.read(
+            self.cluster.namespace.nsid, 0, nbytes, KiB(128),
+            qos=QoSClass.BEST_EFFORT,
+        )
 
-    def read(self, fd: int, nbytes: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        nbytes = max(0, min(nbytes, entry.file.size - entry.pos))
-        if nbytes:
-            # Block lookups batched per read but still via the MDS.
-            yield from self._mds_rpc(cal.CRAIL_INODE_WIRE_BYTES)
-            n_cmds = max(1, math.ceil(nbytes / KiB(128)))
-            yield self.env.timeout(n_cmds * cal.SPDK_SUBMIT_COST)
-            yield self.session.read(
-                self.cluster.namespace.nsid, 0, nbytes, KiB(128),
-                qos=QoSClass.BEST_EFFORT,
-            )
-        entry.pos += nbytes
-        self.counters.add("app_bytes_read", nbytes)
-        return [Payload.synthetic(entry.file.path, nbytes)] if nbytes else []
-
-    def pread(self, fd: int, nbytes: int, offset: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        entry.pos = offset
-        return (yield from self.read(fd, nbytes))
-
-    def fsync(self, fd: int) -> Generator[Event, Any, None]:
-        self._fd(fd)
+    def _do_fsync(self, file: _CFile) -> Generator[Event, Any, None]:
         yield self.session.flush(self.cluster.namespace.nsid)
 
-    def close(self, fd: int) -> Generator[Event, Any, None]:
-        entry = self._fd(fd)
+    def _do_close(self, file: _CFile) -> Generator[Event, Any, None]:
         yield from self._mds_rpc()  # close updates the inode
-        entry.open_ = False
-        del self._fds[fd]
-
-    def mkdir(self, path: str, mode: int = 0o755) -> Generator[Event, Any, None]:
-        yield from self._mds_rpc(cal.CRAIL_INODE_WIRE_BYTES)
-
-    def unlink(self, path: str) -> Generator[Event, Any, None]:
-        yield from self._mds_rpc(cal.CRAIL_INODE_WIRE_BYTES)
-        self.cluster.files.pop(path, None)
-
-    def stat(self, path: str) -> _CFile:
-        file = self.cluster.files.get(path)
-        if file is None:
-            raise FileNotFound(path)
-        return file

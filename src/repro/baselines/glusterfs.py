@@ -83,9 +83,8 @@ class GlusterFSClient(BaselineClient):
             yield from self.cluster.lookup_path.serve(cal.GLUSTERFS_LOOKUP_SERVICE)
         return (yield from super().open(path, mode))
 
-    def _do_create(self, path: str) -> Generator[Event, Any, BaselineFile]:
+    def _do_create(self, file: BaselineFile) -> Generator[Event, Any, None]:
         yield from self.cluster.directory_lock.serve(cal.GLUSTERFS_DIR_ENTRY_SERVICE)
-        return BaselineFile(path=path)
 
     def _do_mkdir(self, path: str) -> Generator[Event, Any, None]:
         yield from self.cluster.directory_lock.serve(cal.GLUSTERFS_DIR_ENTRY_SERVICE)
@@ -96,6 +95,7 @@ class GlusterFSClient(BaselineClient):
     # -- data path -----------------------------------------------------------------------
 
     def _do_write(self, file: BaselineFile, offset: int, payload: Payload) -> Generator[Event, Any, int]:
+        yield from self._file_lock(file, payload.nbytes)
         if payload.nbytes == 0:
             return 0
         server = self.cluster.servers[self.cluster.brick_of(file.path)]

@@ -11,21 +11,15 @@ expose ``write_file``/``read_file`` for
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator
 
+from repro.baselines.common import BaselineClient, BaselineFile
 from repro.bench import calibration as cal
+from repro.errors import FileNotFound
 from repro.nvme.commands import Payload
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 from repro.obs.metrics import Counter
-from repro.errors import (
-    BadFileDescriptor,
-    FileExists,
-    FileNotFound,
-    InvalidArgument,
-)
 
 __all__ = ["LustreCluster", "LustreClient"]
 
@@ -37,7 +31,8 @@ class LustreCluster:
         self.env = env
         self.servers = [Resource(env, capacity=1) for _ in range(servers)]
         self.mds = Resource(env, capacity=1)
-        self.files: Dict[str, int] = {}
+        # One namespace for the checkpointer surface and the POSIX client.
+        self.files: Dict[str, BaselineFile] = {}
         self.dirs: set = set()
         self.counters = Counter()
 
@@ -49,66 +44,53 @@ class LustreCluster:
 
     def write_file(self, path: str, nbytes: int) -> Generator[Event, Any, None]:
         """Striped write: RAID bandwidth is the bottleneck per OSS."""
-        yield from self.mds.serve(cal.LUSTRE_PER_REQUEST_COST)  # open+layout
-        stripe = cal.LUSTRE_STRIPE_SIZE
-        per_server = [0] * len(self.servers)
-        at = 0
-        while at < nbytes:
-            take = min(stripe, nbytes - at)
-            per_server[(at // stripe) % len(self.servers)] += take
-            at += take
-        events = []
-        for server, load in zip(self.servers, per_server):
-            if load > 0:
-                events.append(self.env.process(self._oss_write(server, load)))
-        if events:
-            yield self.env.all_of(events)
-        self.files[path] = nbytes
+        yield from self.striped_io(0, nbytes)
+        file = self.files.get(path)
+        if file is None:
+            file = self.files[path] = BaselineFile(path=path)
+        file.size = nbytes
         self.counters.add("bytes_written", nbytes)
 
-    def _oss_write(self, server: Resource, nbytes: int):
+    def read_file(self, path: str) -> Generator[Event, Any, int]:
+        file = self.files.get(path)
+        if file is None:
+            raise FileNotFound(path)
+        nbytes = file.size
+        yield from self.striped_io(0, nbytes)
+        self.counters.add("bytes_read", nbytes)
+        return nbytes
+
+    def striped_io(self, offset: int, nbytes: int) -> Generator[Event, Any, None]:
+        """One striped transfer: the MDS (open + layout), then every OSS
+        holding a stripe of ``[offset, offset + nbytes)``, in parallel."""
+        yield from self.mds.serve(cal.LUSTRE_PER_REQUEST_COST)
+        stripe = cal.LUSTRE_STRIPE_SIZE
+        per_server = [0] * len(self.servers)
+        at, end = offset, offset + nbytes
+        while at < end:
+            take = min(stripe - at % stripe, end - at)
+            per_server[(at // stripe) % len(self.servers)] += take
+            at += take
+        events = [
+            self.env.process(self._oss_io(server, load))
+            for server, load in zip(self.servers, per_server)
+            if load > 0
+        ]
+        if events:
+            yield self.env.all_of(events)
+
+    def _oss_io(self, server: Resource, nbytes: int):
         # The RAID controller is a serial pipe: hold the OSS for the
         # transfer duration (this is what makes Lustre the slow tier).
         yield from server.serve(
             nbytes / cal.LUSTRE_SERVER_BANDWIDTH + cal.LUSTRE_PER_REQUEST_COST
         )
 
-    def read_file(self, path: str) -> Generator[Event, Any, int]:
-        nbytes = self.files.get(path)
-        if nbytes is None:
-            raise FileNotFound(path)
-        yield from self.mds.serve(cal.LUSTRE_PER_REQUEST_COST)
-        stripe = cal.LUSTRE_STRIPE_SIZE
-        per_server = [0] * len(self.servers)
-        at = 0
-        while at < nbytes:
-            take = min(stripe, nbytes - at)
-            per_server[(at // stripe) % len(self.servers)] += take
-            at += take
-        events = []
-        for server, load in zip(self.servers, per_server):
-            if load > 0:
-                events.append(self.env.process(self._oss_write(server, load)))
-        if events:
-            yield self.env.all_of(events)
-        self.counters.add("bytes_read", nbytes)
-        return nbytes
-
     def aggregate_bandwidth(self) -> float:
         return len(self.servers) * cal.LUSTRE_SERVER_BANDWIDTH
 
 
-@dataclass
-class _LustreFD:
-    fd: int
-    path: str
-    mode: str
-    size: int  # bytes this handle will have on flush
-    dirty: bool = False
-    open_: bool = True
-
-
-class LustreClient:
+class LustreClient(BaselineClient):
     """POSIX-flavoured adapter so shim-driven workloads (campaigns,
     :func:`sysmatrix`, the resilience experiment) can run against the
     PFS tier directly.
@@ -120,90 +102,37 @@ class LustreClient:
     """
 
     def __init__(self, cluster: LustreCluster, name: str):
+        super().__init__(cluster.env, name, cluster.files, cluster.dirs)
         self.cluster = cluster
-        self.env = cluster.env
-        self.name = name
-        self.counters = Counter()
-        self._fds: Dict[int, _LustreFD] = {}
-        self._fd_counter = itertools.count(3)
 
-    # -- shim surface -------------------------------------------------------
+    # -- system hooks -------------------------------------------------------
 
-    def open(self, path: str, mode: str = "r") -> Generator[Event, Any, int]:
-        if mode not in ("r", "w", "a", "x"):
-            raise InvalidArgument(f"unsupported mode {mode!r}")
-        existing = self.cluster.files.get(path)
-        if mode == "r" and existing is None:
-            raise FileNotFound(path)
-        if mode == "x" and existing is not None:
-            raise FileExists(path)
-        yield from self.cluster.mds.serve(cal.LUSTRE_PER_REQUEST_COST)
-        size = existing or 0
-        if mode == "w":
-            size = 0
-        entry = _LustreFD(next(self._fd_counter), path, mode, size)
-        self._fds[entry.fd] = entry
-        self.counters.add("opens")
-        return entry.fd
+    def _enter(self, op: str) -> Generator[Event, Any, None]:
+        if op == "open":  # mkdir and unlink reach the MDS only on success
+            yield from self.cluster.mds.serve(cal.LUSTRE_PER_REQUEST_COST)
 
-    def _fd(self, fd: int) -> _LustreFD:
-        entry = self._fds.get(fd)
-        if entry is None or not entry.open_:
-            raise BadFileDescriptor(f"fd {fd}")
-        return entry
-
-    def write(self, fd: int, data) -> Generator[Event, Any, int]:
-        entry = self._fd(fd)
-        if entry.mode == "r":
-            raise InvalidArgument(f"fd {fd} opened read-only")
-        nbytes = data.nbytes if isinstance(data, Payload) else (
-            len(data) if isinstance(data, bytes) else int(data)
-        )
-        entry.size += nbytes
-        entry.dirty = True
-        self.counters.add("app_bytes_written", nbytes)
+    def _do_write(
+        self, file: BaselineFile, offset: int, payload: Payload
+    ) -> Generator[Event, Any, int]:
+        file.dirty += payload.nbytes
         yield self.env.timeout(0)  # buffered in the client page cache
-        return nbytes
+        return payload.nbytes
 
-    def fsync(self, fd: int) -> Generator[Event, Any, None]:
-        entry = self._fd(fd)
-        if entry.dirty:
-            yield from self.cluster.write_file(entry.path, entry.size)
-            entry.dirty = False
+    def _do_read(self, file: BaselineFile, offset: int, nbytes: int) -> Generator[Event, Any, None]:
+        yield from self.cluster.striped_io(offset, nbytes)
+        self.cluster.counters.add("bytes_read", nbytes)
+
+    def _do_fsync(self, file: BaselineFile) -> Generator[Event, Any, None]:
+        if file.dirty:
+            yield from self.cluster.write_file(file.path, file.size)
+            file.dirty = 0
         else:
             yield self.env.timeout(0)
 
-    def close(self, fd: int) -> Generator[Event, Any, None]:
-        entry = self._fd(fd)
-        if entry.dirty:  # close flushes what fsync did not
-            yield from self.cluster.write_file(entry.path, entry.size)
-            entry.dirty = False
-        else:
-            yield self.env.timeout(0)
-        entry.open_ = False
-        del self._fds[fd]
+    _do_close = _do_fsync  # close flushes what fsync did not
 
-    def read(self, fd: int, nbytes: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        total = yield from self.cluster.read_file(entry.path)
-        got = min(nbytes, total)
-        self.counters.add("app_bytes_read", got)
-        return [Payload.synthetic(f"{entry.path}@0", got)] if got else []
-
-    def mkdir(self, path: str, mode: int = 0o755) -> Generator[Event, Any, None]:
-        if path in self.cluster.dirs:
-            raise FileExists(path)
+    def _do_mkdir(self, path: str) -> Generator[Event, Any, None]:
         yield from self.cluster.mds.serve(cal.LUSTRE_PER_REQUEST_COST)
-        self.cluster.dirs.add(path)
 
-    def unlink(self, path: str) -> Generator[Event, Any, None]:
-        if path not in self.cluster.files:
-            raise FileNotFound(path)
+    def _do_unlink(self, file: BaselineFile) -> Generator[Event, Any, None]:
         yield from self.cluster.mds.serve(cal.LUSTRE_PER_REQUEST_COST)
-        del self.cluster.files[path]
-
-    def stat(self, path: str) -> int:
-        nbytes = self.cluster.files.get(path)
-        if nbytes is None:
-            raise FileNotFound(path)
-        return nbytes

@@ -85,11 +85,10 @@ class OrangeFSClient(BaselineClient):
     def _metadata_visit(self) -> Generator[Event, Any, None]:
         yield from self.cluster.metadata.serve(cal.ORANGEFS_MDS_SERVICE)
 
-    def _do_create(self, path: str) -> Generator[Event, Any, BaselineFile]:
+    def _do_create(self, file: BaselineFile) -> Generator[Event, Any, None]:
         yield from self._metadata_visit()
         yield from self.cluster.directory_lock.serve(cal.ORANGEFS_DIR_ENTRY_SERVICE)
         self.cluster.file_count_high_water += 1
-        return BaselineFile(path=path)
 
     def _do_mkdir(self, path: str) -> Generator[Event, Any, None]:
         yield from self._metadata_visit()
@@ -127,6 +126,7 @@ class OrangeFSClient(BaselineClient):
         return [(s, t, n) for s, (t, n) in sorted(totals.items())]
 
     def _do_write(self, file: BaselineFile, offset: int, payload: Payload) -> Generator[Event, Any, int]:
+        yield from self._file_lock(file, payload.nbytes)
         if payload.nbytes == 0:
             return 0
         plan = self._aggregate_plan(file, offset, payload.nbytes)

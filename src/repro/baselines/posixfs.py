@@ -20,12 +20,12 @@ pages).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List
+from typing import Any, Dict, Generator
 
+from repro.baselines.common import BaselineClient, BaselineFile
 from repro.bench import calibration as cal
-from repro.errors import BadFileDescriptor, FileNotFound, InvalidArgument, OutOfSpace
+from repro.errors import InvalidArgument, OutOfSpace
 from repro.nvme.commands import Payload
 from repro.nvme.device import SSD
 from repro.nvme.namespace import Namespace
@@ -39,19 +39,8 @@ __all__ = ["KernelFilesystem", "KernelFSClient"]
 
 
 @dataclass
-class _KFile:
-    path: str
-    size: int = 0
-    dirty_bytes: int = 0
+class _KFile(BaselineFile):
     allocated_bytes: int = 0
-
-
-@dataclass
-class _KFD:
-    fd: int
-    file: _KFile
-    pos: int = 0
-    open_: bool = True
 
 
 class KernelFilesystem:
@@ -68,6 +57,7 @@ class KernelFilesystem:
         self.alloc_lock = Resource(env, capacity=1)
         self.journal = Resource(env, capacity=1)
         self.files: Dict[str, _KFile] = {}
+        self.dirs: set = {"/"}
         self._cursor = 0
         self.counters = Counter()
 
@@ -102,16 +92,14 @@ class KernelFilesystem:
         return (nbytes / MiB(1)) * per_mb
 
 
-class KernelFSClient:
-    """One process's view of the kernel filesystem (shim-compatible)."""
+class KernelFSClient(BaselineClient):
+    """One process's view of the kernel filesystem: every call traps."""
+
+    file_type = _KFile
 
     def __init__(self, kfs: KernelFilesystem, name: str):
+        super().__init__(kfs.env, name, kfs.files, kfs.dirs)
         self.kfs = kfs
-        self.env = kfs.env
-        self.name = name
-        self.counters = Counter()
-        self._fds: Dict[int, _KFD] = {}
-        self._fd_counter = itertools.count(3)
 
     # -- cost helpers -------------------------------------------------------------------
 
@@ -120,64 +108,30 @@ class KernelFSClient:
         self.counters.add("kernel_time", seconds)
         return self.env.timeout(seconds)
 
-    # -- shim surface ----------------------------------------------------------------------
+    # -- system hooks -----------------------------------------------------------------------
 
-    def open(self, path: str, mode: str = "r") -> Generator[Event, Any, int]:
+    def _enter(self, op: str) -> Generator[Event, Any, None]:
         yield self._kernel(cal.SYSCALL_TRAP_COST + cal.KERNEL_IO_PATH_COST)
-        file = self.kfs.files.get(path)
-        if file is None:
-            if mode == "r":
-                raise FileNotFound(path)
-            file = _KFile(path=path)
-            self.kfs.files[path] = file
-            self.counters.add("creates")
-        elif mode == "w":
-            file.size = 0
-            file.dirty_bytes = 0
-        fd = _KFD(next(self._fd_counter), file)
-        if mode == "a":
-            fd.pos = file.size
-        self._fds[fd.fd] = fd
-        return fd.fd
 
-    def _fd(self, fd: int) -> _KFD:
-        entry = self._fds.get(fd)
-        if entry is None or not entry.open_:
-            raise BadFileDescriptor(f"fd {fd}")
-        return entry
-
-    def write(self, fd: int, data) -> Generator[Event, Any, int]:
+    def _do_write(self, file: _KFile, offset: int, payload: Payload) -> Generator[Event, Any, int]:
         """Buffered write: trap + page-cache copy. Fast — the bill comes
         at fsync."""
-        entry = self._fd(fd)
-        nbytes = data if isinstance(data, int) else (
-            data.nbytes if isinstance(data, Payload) else len(data)
-        )
+        nbytes = payload.nbytes
         yield self._kernel(
             cal.SYSCALL_TRAP_COST
             + cal.KERNEL_IO_PATH_COST
             + nbytes / cal.PAGE_CACHE_COPY_BW
         )
-        entry.file.dirty_bytes += nbytes
-        entry.pos += nbytes
-        entry.file.size = max(entry.file.size, entry.pos)
-        self.counters.add("app_bytes_written", nbytes)
+        file.dirty += nbytes
         return nbytes
 
-    def pwrite(self, fd: int, data, offset: int) -> Generator[Event, Any, int]:
-        entry = self._fd(fd)
-        entry.pos = offset
-        return (yield from self.write(fd, data))
-
-    def fsync(self, fd: int) -> Generator[Event, Any, None]:
+    def _do_fsync(self, file: _KFile) -> Generator[Event, Any, None]:
         """Writeback + allocation + journal. All kernel time."""
-        entry = self._fd(fd)
-        file = entry.file
-        dirty = file.dirty_bytes
+        dirty = file.dirty
         t0 = self.env.now
         yield self._kernel(cal.SYSCALL_TRAP_COST)
         if dirty > 0:
-            file.dirty_bytes = 0
+            file.dirty = 0
             # Delayed allocation happens at writeback, under the shared lock.
             new_bytes = max(0, file.size - file.allocated_bytes)
             if new_bytes > 0:
@@ -222,49 +176,22 @@ class KernelFSClient:
         self.counters.add("fsyncs")
         self.counters.add("fsync_wall", self.env.now - t0)
 
-    def read(self, fd: int, nbytes: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        nbytes = max(0, min(nbytes, entry.file.size - entry.pos))
-        if nbytes:
-            bios = max(1, -(-nbytes // cal.KERNEL_MAX_BIO_BYTES))
-            yield self._kernel(
-                cal.SYSCALL_TRAP_COST
-                + bios * cal.KERNEL_IO_PATH_COST
-                + nbytes / cal.PAGE_CACHE_COPY_BW
-            )
-            read_start = self.env.now
-            yield self.kfs.ssd.read(
-                self.kfs.namespace.nsid, 0, nbytes, cal.KERNEL_MAX_BIO_BYTES,
-                qos=QoSClass.BEST_EFFORT,
-            )
-            self.counters.add("kernel_time", self.env.now - read_start)
-        entry.pos += nbytes
-        self.counters.add("app_bytes_read", nbytes)
-        return [Payload.synthetic(f"{entry.file.path}", nbytes)] if nbytes else []
+    def _do_read(self, file: _KFile, offset: int, nbytes: int) -> Generator[Event, Any, None]:
+        bios = max(1, -(-nbytes // cal.KERNEL_MAX_BIO_BYTES))
+        yield self._kernel(
+            cal.SYSCALL_TRAP_COST
+            + bios * cal.KERNEL_IO_PATH_COST
+            + nbytes / cal.PAGE_CACHE_COPY_BW
+        )
+        read_start = self.env.now
+        yield self.kfs.ssd.read(
+            self.kfs.namespace.nsid, 0, nbytes, cal.KERNEL_MAX_BIO_BYTES,
+            qos=QoSClass.BEST_EFFORT,
+        )
+        self.counters.add("kernel_time", self.env.now - read_start)
 
-    def pread(self, fd: int, nbytes: int, offset: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        entry.pos = offset
-        return (yield from self.read(fd, nbytes))
-
-    def close(self, fd: int) -> Generator[Event, Any, None]:
-        entry = self._fd(fd)
+    def _do_close(self, file: _KFile) -> Generator[Event, Any, None]:
         yield self._kernel(cal.SYSCALL_TRAP_COST)
-        entry.open_ = False
-        del self._fds[fd]
-
-    def mkdir(self, path: str, mode: int = 0o755) -> Generator[Event, Any, None]:
-        yield self._kernel(cal.SYSCALL_TRAP_COST + cal.KERNEL_IO_PATH_COST)
-
-    def unlink(self, path: str) -> Generator[Event, Any, None]:
-        yield self._kernel(cal.SYSCALL_TRAP_COST + cal.KERNEL_IO_PATH_COST)
-        self.kfs.files.pop(path, None)
-
-    def stat(self, path: str) -> _KFile:
-        file = self.kfs.files.get(path)
-        if file is None:
-            raise FileNotFound(path)
-        return file
 
     def kernel_fraction(self, wall_time: float, app_kernel_time: float = 0.0) -> float:
         """Fraction of wall time spent in the kernel (Figure 7(c))."""

@@ -10,40 +10,31 @@ to the device through a bump allocator.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List
+from typing import Any, Generator
 
+from repro.baselines.common import BaselineClient, BaselineFile
 from repro.bench import calibration as cal
-from repro.errors import BadFileDescriptor, FileNotFound, OutOfSpace
+from repro.errors import OutOfSpace
 from repro.fabric.transport import Transport
 from repro.io.qos import QoSClass
 from repro.nvme.commands import Payload
 from repro.sim.engine import Environment, Event
-from repro.obs.metrics import Counter
 from repro.units import KiB
 
 __all__ = ["RawSPDKClient"]
 
 
 @dataclass
-class _SFile:
-    path: str
-    size: int = 0
-    offset: int = -1  # device offset of the (single-extent) file
+class _SFile(BaselineFile):
+    offset: int = -1  # device offset of the file's first extent
 
 
-@dataclass
-class _SFD:
-    fd: int
-    file: _SFile
-    pos: int = 0
-    open_: bool = True
+class RawSPDKClient(BaselineClient):
+    """Direct bdev access with a volatile, private name table."""
 
-
-class RawSPDKClient:
-    """Direct bdev access with a volatile name table (shim-compatible)."""
+    file_type = _SFile
 
     def __init__(
         self,
@@ -55,17 +46,12 @@ class RawSPDKClient:
         name: str = "spdk",
         io_size: int = KiB(128),
     ):
-        self.env = env
+        super().__init__(env, name, {}, {"/"})
         self.transport = transport
         self.nsid = nsid
         self.region_offset = region_offset
         self.region_bytes = region_bytes
-        self.name = name
         self.io_size = io_size
-        self.counters = Counter()
-        self.files: Dict[str, _SFile] = {}
-        self._fds: Dict[int, _SFD] = {}
-        self._fd_counter = itertools.count(3)
         self._cursor = 0
 
     def _allocate(self, nbytes: int) -> int:
@@ -76,96 +62,33 @@ class RawSPDKClient:
         self._cursor += aligned
         return offset
 
-    # -- shim surface -------------------------------------------------------------------
+    # -- system hooks -------------------------------------------------------------------
 
-    def open(self, path: str, mode: str = "r") -> Generator[Event, Any, int]:
+    def _enter(self, op: str) -> Generator[Event, Any, None]:
         yield self.env.timeout(0)  # no kernel, no metadata IO
-        file = self.files.get(path)
-        if file is None:
-            if mode == "r":
-                raise FileNotFound(path)
-            file = _SFile(path=path)
-            self.files[path] = file
-            self.counters.add("creates")
-        fd = _SFD(next(self._fd_counter), file)
-        if mode == "a":
-            fd.pos = file.size
-        self._fds[fd.fd] = fd
-        return fd.fd
 
-    def _fd(self, fd: int) -> _SFD:
-        entry = self._fds.get(fd)
-        if entry is None or not entry.open_:
-            raise BadFileDescriptor(f"fd {fd}")
-        return entry
-
-    def write(self, fd: int, data) -> Generator[Event, Any, int]:
-        entry = self._fd(fd)
-        nbytes = data if isinstance(data, int) else (
-            data.nbytes if isinstance(data, Payload) else len(data)
-        )
-        payload = data if isinstance(data, Payload) else Payload.synthetic(
-            f"{self.name}:{entry.file.path}:{entry.pos}", nbytes
-        ) if isinstance(data, int) else Payload.of_bytes(data)
+    def _do_write(self, file: _SFile, offset: int, payload: Payload) -> Generator[Event, Any, int]:
+        nbytes = payload.nbytes
         n_cmds = max(1, math.ceil(nbytes / self.io_size))
         yield self.env.timeout(n_cmds * cal.SPDK_SUBMIT_COST)
         # Each write is its own extent from the bump allocator; the name
         # table remembers only the first (reads are timing-faithful, and
         # durability of content is not SPDK's job — that's the point).
-        offset = self._allocate(max(nbytes, 1))
-        if entry.file.offset < 0:
-            entry.file.offset = offset
+        device_offset = self._allocate(max(nbytes, 1))
+        if file.offset < 0:
+            file.offset = device_offset
         yield self.transport.write(
-            self.nsid, offset, payload, self.io_size, qos=QoSClass.CKPT_DATA
+            self.nsid, device_offset, payload, self.io_size, qos=QoSClass.CKPT_DATA
         )
-        entry.pos += nbytes
-        entry.file.size = max(entry.file.size, entry.pos)
-        self.counters.add("app_bytes_written", nbytes)
         return nbytes
 
-    def pwrite(self, fd: int, data, offset: int) -> Generator[Event, Any, int]:
-        entry = self._fd(fd)
-        entry.pos = offset
-        return (yield from self.write(fd, data))
+    def _do_read(self, file: _SFile, offset: int, nbytes: int) -> Generator[Event, Any, None]:
+        n_cmds = max(1, math.ceil(nbytes / self.io_size))
+        yield self.env.timeout(n_cmds * cal.SPDK_SUBMIT_COST)
+        yield self.transport.read(
+            self.nsid, max(file.offset, 0), nbytes, self.io_size,
+            qos=QoSClass.BEST_EFFORT,
+        )
 
-    def read(self, fd: int, nbytes: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        nbytes = max(0, min(nbytes, entry.file.size - entry.pos))
-        if nbytes:
-            n_cmds = max(1, math.ceil(nbytes / self.io_size))
-            yield self.env.timeout(n_cmds * cal.SPDK_SUBMIT_COST)
-            yield self.transport.read(
-                self.nsid, max(entry.file.offset, 0), nbytes, self.io_size,
-                qos=QoSClass.BEST_EFFORT,
-            )
-        entry.pos += nbytes
-        self.counters.add("app_bytes_read", nbytes)
-        return [Payload.synthetic(entry.file.path, nbytes)] if nbytes else []
-
-    def pread(self, fd: int, nbytes: int, offset: int) -> Generator[Event, Any, List[Payload]]:
-        entry = self._fd(fd)
-        entry.pos = offset
-        return (yield from self.read(fd, nbytes))
-
-    def fsync(self, fd: int) -> Generator[Event, Any, None]:
-        self._fd(fd)
+    def _do_fsync(self, file: _SFile) -> Generator[Event, Any, None]:
         yield self.transport.flush(self.nsid)
-
-    def close(self, fd: int) -> Generator[Event, Any, None]:
-        entry = self._fd(fd)
-        yield self.env.timeout(0)
-        entry.open_ = False
-        del self._fds[fd]
-
-    def mkdir(self, path: str, mode: int = 0o755) -> Generator[Event, Any, None]:
-        yield self.env.timeout(0)
-
-    def unlink(self, path: str) -> Generator[Event, Any, None]:
-        yield self.env.timeout(0)
-        self.files.pop(path, None)
-
-    def stat(self, path: str) -> _SFile:
-        file = self.files.get(path)
-        if file is None:
-            raise FileNotFound(path)
-        return file

@@ -87,6 +87,7 @@ class PosixShim:
             ctx.metrics.histogram("fs.open_latency_s").observe(self.env.now - t0)
         if mode == "a":
             handle.pos = self._fs.inodes[handle.ino].size
+        handle.writable = mode != "r"
         self._fds[handle.fd] = handle
         return handle.fd
 
