@@ -42,8 +42,12 @@ def test_fingerprint_ignores_shard_and_wall_clock():
     a = UnitResult(shard=0, wall_s=0.1, **base)
     b = UnitResult(shard=7, wall_s=99.0, **base)
     assert a.fingerprint() == b.fingerprint()
+    # The event count is work, not a result: an engine that pushes
+    # fewer events for the same outcome keeps the fingerprint.
     c = UnitResult(shard=0, wall_s=0.1, **{**base, "events_scheduled": 18})
-    assert c.fingerprint() != a.fingerprint()
+    assert c.fingerprint() == a.fingerprint()
+    d = UnitResult(shard=0, wall_s=0.1, **{**base, "sim_now": 2.5})
+    assert d.fingerprint() != a.fingerprint()
 
 
 def test_fingerprint_is_stable_across_processes_not_ids():
