@@ -173,13 +173,16 @@ class RaftGroup:
                 target = exc.leader_hint
                 yield env.timeout(PROPOSE_RETRY_BACKOFF)
                 continue
+            timer = env.timeout(PROPOSE_OP_TIMEOUT)
             try:
-                yield env.any_of([waiter, env.timeout(PROPOSE_OP_TIMEOUT)])
+                yield env.any_of([waiter, timer])
             except NotLeader as exc:
                 # The leader crashed with our entry pending.
+                timer.cancel()
                 target = exc.leader_hint
                 yield env.timeout(PROPOSE_RETRY_BACKOFF)
                 continue
+            timer.cancel()
             if waiter.triggered and waiter.ok:
                 return waiter.value
             # Attempt timed out (no quorum?); re-resolve and re-propose —

@@ -7,17 +7,20 @@ and supports the two physical failure modes the fault injector fires at
 the control plane: member death (``kill``/``revive``) and a network
 partition isolating an arbitrary member subset (``partition``/``heal``).
 
-Delivery is deterministic: per-pair latency is constant, so messages
-between any two members arrive in send order (the engine breaks time
-ties by schedule sequence), and a partition drops messages both at send
-time and at delivery time — a packet in flight when the switch dies is
-lost, exactly once, on every run with the same schedule.
+Delivery is deterministic.  ``send`` schedules one timer per message,
+``latency`` ahead, whose callback delivers it; no process is spawned.
+The timer takes its schedule sequence at ``send``, and per-pair latency
+is constant, so messages between any two members arrive in send order
+(the engine breaks time ties by schedule sequence).  A partition drops
+messages both at send time and at delivery time — a packet in flight
+when the switch dies is lost, exactly once, on every run with the same
+schedule.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, Optional, Sequence
 
 from repro.sim.engine import Environment, Event
 from repro.units import us
@@ -109,10 +112,11 @@ class ConsensusFabric:
         if self._blocked(src, dst):
             self.dropped += 1
             return
-        self.env.process(self._deliver(src, dst, msg))
+        arrival = self.env.timeout(self.latency(src, dst), (src, dst, msg))
+        arrival.callbacks.append(self._deliver)
 
-    def _deliver(self, src: str, dst: str, msg: Any) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.latency(src, dst))
+    def _deliver(self, arrival: Event) -> None:
+        src, dst, msg = arrival.value
         # Re-check at arrival: the fault may have struck mid-flight.
         if self._dead.get(dst, False) or self._blocked(src, dst):
             self.dropped += 1

@@ -217,9 +217,12 @@ class RaftNode:  # reproflow: ignore[FLOW103] (per-node state; only its own _run
                 else self._deadline
             )
             delay = max(0.0, due - env.now)
-            yield env.any_of(
-                [self.fabric.recv_event(self.name), env.timeout(delay)]
-            )
+            # Mail first: with mail queued and no delay left, the ready
+            # event must sit ahead of the timer in the heap.
+            mail = self.fabric.recv_event(self.name)
+            timer = env.timeout(delay)
+            yield env.any_of([mail, timer])
+            timer.cancel()
             if self._stopped:
                 return
             if self.crashed:

@@ -687,10 +687,12 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         thread when the trigger condition can hold."""
         while stop_event is None or not stop_event.triggered:
             self._ckpt_signal = self.env.event()
-            waits = [self._ckpt_signal, self.env.timeout(poll_interval)]
+            poll = self.env.timeout(poll_interval)
+            waits = [self._ckpt_signal, poll]
             if stop_event is not None:
                 waits.append(stop_event)
             yield self.env.any_of(waits)
+            poll.cancel()
             if self.needs_state_checkpoint():
                 yield from self.checkpoint_state()
         self._ckpt_signal = None

@@ -23,6 +23,10 @@ def _engine_counters(ctx):
     return {k: v for k, v in sorted(flat.items()) if k.startswith("engine.")}
 
 
+def _dispatched(counters):
+    return sum(v for k, v in counters.items() if k.startswith("engine.dispatch."))
+
+
 def test_telemetry_counters_match_engine_accounting():
     with obs.capture(telemetry=True) as cap:
         makespan = fig7a_run()
@@ -30,15 +34,15 @@ def test_telemetry_counters_match_engine_accounting():
     ctx = cap.contexts[0]
     env = ctx.env
     counters = _engine_counters(ctx)
-    # Heap traffic reconciles exactly with the engine's own counter.
+    # Heap traffic reconciles exactly with the engine's own counters.
     assert counters["engine.heap.pushes"] == env.events_scheduled
+    assert counters["engine.heap.cancelled"] == env.events_cancelled
+    assert counters["engine.heap.cancelled"] > 0  # superseded wakes
+    # The run drained: every push was popped, and every pop was either
+    # dispatched (class counts) or dropped as cancelled.
     assert counters["engine.heap.pops"] == counters["engine.heap.pushes"]
-    assert counters["engine.heap.pushes"] == FIG7A_REF["events"]
-    # Every pop dispatches exactly one event: class counts sum to pops.
-    dispatched = sum(
-        v for k, v in counters.items() if k.startswith("engine.dispatch.")
-    )
-    assert dispatched == counters["engine.heap.pops"]
+    assert (_dispatched(counters) + counters["engine.heap.cancelled"]
+            == counters["engine.heap.pushes"])
     assert counters["engine.coroutine.resumes"] > 0
     assert counters["engine.fairshare.flows"] > 0
     assert counters["engine.fairshare.recomputes"] > 0
@@ -63,28 +67,33 @@ def test_telemetry_off_means_no_engine_counters():
 
 
 def test_telemetry_composes_with_the_sanitizer_monitor():
-    """Both observers see every event when attached together."""
+    """Both observers see every dispatched event when attached together,
+    and the monitor's streams match those of a monitor attached alone."""
     with obs.capture(telemetry=True) as cap, session() as s:
         makespan = fig7a_run()
     assert makespan == FIG7A_REF["makespan_s"]
-    counters = _engine_counters(cap.contexts[0])
-    assert counters["engine.heap.pops"] == FIG7A_REF["events"]
-    assert counters["engine.heap.pushes"] == FIG7A_REF["events"]
+    env = cap.contexts[0].env
+    dispatched = _dispatched(_engine_counters(cap.contexts[0]))
+    assert dispatched == env.events_scheduled - env.events_cancelled
     (monitor,) = s.monitors
-    assert monitor.events == FIG7A_REF["events"]
-    assert monitor.digests() == FIG7A_REF["layer_digests"]
+    assert monitor.events == dispatched
+    with session() as alone:
+        assert fig7a_run() == makespan
+    assert alone.monitors[0].digests() == monitor.digests()
 
 
 def test_profile_composes_with_telemetry():
-    """``--metrics`` self-profiling and telemetry both fill their counters."""
-    with obs.capture(profile=True, telemetry=True) as cap:
+    """``--metrics`` self-profiling, telemetry and the sanitizer monitor,
+    attached together, report the same dispatched count."""
+    with obs.capture(profile=True, telemetry=True) as cap, session() as s:
         fig7a_run()
     ctx = cap.contexts[0]
     flat = ctx.flat_extra()
-    assert flat["sim.events"] == FIG7A_REF["events"]
-    dispatched = sum(v for k, v in flat.items() if k.startswith("engine.dispatch."))
-    assert dispatched == FIG7A_REF["events"]
-    assert sum(ctx.selfprof.calls.values()) == FIG7A_REF["events"]
+    dispatched = _dispatched(flat)
+    assert dispatched == ctx.env.events_scheduled - ctx.env.events_cancelled
+    assert flat["sim.events"] == dispatched
+    assert sum(ctx.selfprof.calls.values()) == dispatched
+    assert s.monitors[0].events == dispatched
 
 
 def test_telemetry_does_not_perturb_the_simulation():

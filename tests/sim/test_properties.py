@@ -126,6 +126,7 @@ _op = st.one_of(
     st.tuples(st.just("all"), st.lists(_delay, max_size=3)),
     st.tuples(st.just("any"), st.lists(_delay, min_size=1, max_size=3)),
     st.tuples(st.just("interrupt"), st.integers(0, 7)),
+    st.tuples(st.just("cancel"), st.tuples(_delay, _delay)),
 )
 _workloads = st.lists(st.lists(_op, max_size=4), min_size=1, max_size=6)
 _OBSERVERS = ("monitor", "telemetry", "profile")
@@ -154,8 +155,8 @@ def _drive(env, procs, mode):
 
 def _observed_run(workload, subset, mode):
     """Run ``workload`` with the ``subset`` observers attached; return the
-    clock, scheduled events, process trace (with any error the run
-    raised), and each observer's output."""
+    clock, scheduled events, the next pending time, the process trace,
+    cancelled events, and each observer's output."""
     env = Environment()
     sanitize = SanitizeSession()
     if "monitor" in subset:
@@ -181,6 +182,13 @@ def _observed_run(workload, subset, mode):
                     if target is not procs[i] and target.is_alive:
                         target.interrupt(i)
                     yield env.timeout(0.0)
+                elif kind == "cancel":
+                    # Raft's node loop: the timer only an any_of waits on
+                    # is cancelled once the any_of returns, whichever won.
+                    first, timer_delay = arg
+                    timer = env.timeout(timer_delay)
+                    yield env.any_of([env.timeout(first), timer])
+                    timer.cancel()
             except Interrupt as intr:
                 trace.append((i, "interrupted", intr.cause, env.now))
             trace.append((i, kind, env.now))
@@ -188,10 +196,7 @@ def _observed_run(workload, subset, mode):
 
     for i, ops in enumerate(workload):
         procs.append(env.process(body(i, ops)))
-    try:
-        _drive(env, procs, mode)
-    except Interrupt as exc:  # an interrupt can land after its target ended
-        trace.append(("raised", repr(exc)))
+    _drive(env, procs, mode)
     outputs = {}
     if "monitor" in subset:
         (monitor,) = sanitize.monitors
@@ -202,7 +207,8 @@ def _observed_run(workload, subset, mode):
     if "profile" in subset:
         outputs["profile"] = (ctx.metrics.counter("sim.events").value,
                               ctx.selfprof.calls)
-    return (env.now, env.events_scheduled, env.peek(), trace), outputs
+    return (env.now, env.events_scheduled, env.peek(), trace,
+            env.events_cancelled), outputs
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,7 +224,8 @@ def test_every_observer_subset_sees_what_each_sees_alone(workload, mode):
         assert result == baseline, subset
         for name in subset:
             assert outputs[name] == alone[name], (subset, name)
-    if baseline[2] is None:  # drained: every scheduled event was dispatched
-        assert alone["monitor"][0] == baseline[1]
-        assert alone["telemetry"][1] == baseline[1]
-        assert alone["profile"][0] == baseline[1]
+    if baseline[2] is None:  # drained: every push was dispatched or cancelled
+        dispatched = baseline[1] - baseline[4]
+        assert alone["monitor"][0] == dispatched
+        assert alone["telemetry"][1] == dispatched
+        assert alone["profile"][0] == dispatched
