@@ -1,7 +1,7 @@
 """DetLint: per-file AST rules that enforce the repro's determinism contract.
 
 Every headline number this repository reproduces (the Fig 7/8 curves,
-the pinned 439-event fig7a baseline, same-seed fault replay) depends on
+the pinned fig7a makespan, same-seed fault replay) depends on
 an unwritten contract: simulation code reads *simulated* time only,
 draws randomness only from named seeded streams, never lets hash-order
 leak into event scheduling, and keeps its hot-path classes allocation

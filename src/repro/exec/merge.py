@@ -14,8 +14,9 @@ artefacts are bit-identical for any shard count:
   :meth:`repro.faults.timeline.FaultTimeline.merge`, which re-issues
   fault ids by injection time and annotates cross-shard blast radii.
 * **event streams** — each unit's fingerprint hashes its payload, final
-  clock, scheduled-event count, metrics, spans, and timeline; the merged
-  fingerprint chains them in unit order.
+  clock, metrics, spans, and timeline (not its scheduled-event count,
+  which is work rather than a result); the merged fingerprint chains
+  them in unit order.
 """
 
 from __future__ import annotations
