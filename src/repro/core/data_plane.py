@@ -186,6 +186,12 @@ class DataPlane:
                         # unclaimed; drop it before the retry opens spans.
                         tr.take_handoff()
             transfer_s = self.env.now - exec_at - flush_s
+        except Exception as exc:
+            # Retries ran out or the deadline passed: the envelope ends
+            # here, not when the capture closes its open spans.
+            if tr is not None:
+                tr.end(span, error=type(exc).__name__)
+            raise
         finally:
             self._release_window(req.total_bytes)
             if monitor is not None:

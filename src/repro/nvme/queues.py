@@ -16,7 +16,7 @@ earlier submissions on the same queue have completed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional
+from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import DeviceError, InvalidArgument
 from repro.io.qos import DEFAULT_WRR_WEIGHTS, QoSClass
@@ -99,46 +99,58 @@ class WrrArbiter:
             return len(self._fifo)
         return sum(len(q) for q in self._queues.values())
 
-    def admit(self, qos: Optional[QoSClass]) -> Generator[Event, Any, None]:
-        """Acquire a service slot; yields only under contention."""
+    def acquire(self, qos: Optional[QoSClass]) -> Optional[Event]:
+        """Take a service slot: the one admission step.
+
+        Returns ``None`` when the slot is granted at once, else the
+        grant event, which succeeds when :meth:`release` hands this
+        request a slot.
+        """
         monitor = self.env.monitor
         if monitor is not None:
             monitor.note_mutation(self, "admit")
         cls = qos or QoSClass.BEST_EFFORT
         if self._in_service < self.slots and self._waiting() == 0:
-            # Fast path: no yield, no event — the default timeline is
-            # untouched when the device is uncontended.
+            # Fast path: no event — the default timeline is untouched
+            # when the device is uncontended.
             self._in_service += 1
             self.grants[cls] += 1
-            return
+            return None
         ev = Event(self.env)
         if self.mode == "fcfs":
             self._fifo.append((cls, ev))
         else:
             self._queues[cls].append(ev)
         self.waited[cls] += 1
-        yield ev
-        self.grants[cls] += 1
+        return ev
+
+    def admit(self, qos: Optional[QoSClass]) -> Generator[Event, Any, None]:
+        """:meth:`acquire` as a sub-generator; yields only under contention."""
+        grant = self.acquire(qos)
+        if grant is not None:
+            yield grant
 
     def release(self) -> None:
-        """Return a slot and wake the next waiter per policy."""
+        """Return a slot and hand it to the next waiter per policy."""
         monitor = self.env.monitor
         if monitor is not None:
             monitor.note_mutation(self, "release")
         self._in_service -= 1
         while self._in_service < self.slots:
-            nxt = self._pick()
-            if nxt is None:
+            picked = self._pick()
+            if picked is None:
                 break
+            cls, ev = picked
             self._in_service += 1
-            nxt.succeed()
+            self.grants[cls] += 1
+            ev.succeed()
 
-    def _pick(self) -> Optional[Event]:
+    def _pick(self) -> Optional[Tuple[QoSClass, Event]]:
+        """The next waiter per policy, with its class."""
         if self.mode == "fcfs":
             if not self._fifo:
                 return None
-            _cls, ev = self._fifo.popleft()
-            return ev
+            return self._fifo.popleft()
         ready = [cls for cls in self._ORDER if self._queues[cls]]
         if not ready:
             return None
@@ -149,7 +161,7 @@ class WrrArbiter:
         funded = [cls for cls in ready if self._credits[cls] > 0]
         best = max(funded, key=lambda cls: (self._credits[cls], -self._ORDER.index(cls)))
         self._credits[best] -= 1
-        return self._queues[best].popleft()
+        return best, self._queues[best].popleft()
 
 
 class QueuePair:

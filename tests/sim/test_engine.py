@@ -126,6 +126,34 @@ def test_orphan_process_failure_aborts_run():
         env.run()
 
 
+def test_env_fail_aborts_the_run_unless_someone_waits():
+    """``Environment.fail`` gives any event a failed process's semantics."""
+    env = Environment()
+    env.fail(env.event(), ValueError("unheard"))
+    with pytest.raises(ValueError, match="unheard"):
+        env.run()
+
+    env = Environment()
+    heard = env.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield heard
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    env.process(waiter())
+    env.fail(heard, ValueError("heard"))
+    env.run()
+    assert caught == ["heard"]
+
+    # A plain Event.fail nobody waits on stays silent.
+    env = Environment()
+    env.event().fail(ValueError("quiet"))
+    env.run()
+
+
 def test_run_until_time_horizon():
     env = Environment()
     fired = []
