@@ -10,8 +10,8 @@ ring; free appends at the tail. The ring holds *runs* of consecutive
 blocks, ``(first block, block count)``, so handing out or taking back a
 run of any length is one step per run, not per block; a freed run that
 continues the tail run merges into it, which keeps the ring's block
-order exactly that of a one-block-per-slot ring. Allocated blocks are a
-bitmap, for O(1) double-free checks.
+order exactly that of a one-block-per-slot ring. Allocated blocks are
+ascending maximal runs, searched by bisection for double-free checks.
 
 ``footprint_bytes`` reports the *modelled* DRAM cost, one 4-byte index
 per block, by arithmetic: the 8x reduction the paper credits to 32 KiB
@@ -20,6 +20,7 @@ blocks vs 4 KiB. It does not measure the runs this host code keeps.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Deque, Iterable, List, Tuple
 
@@ -68,7 +69,9 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
         self.block_bytes = block_bytes
         self.capacity_blocks = region_bytes // block_bytes
         self._free: Deque[Run] = deque([(0, self.capacity_blocks)])
-        self._allocated = bytearray(self.capacity_blocks)
+        # Allocated run i is [_starts[i], _ends[i]); runs ascend and never touch.
+        self._starts: List[int] = []
+        self._ends: List[int] = []
         self._used = 0
 
     # -- allocation ---------------------------------------------------------------
@@ -94,7 +97,7 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
                 self._free.popleft()
             else:
                 self._free[0] = (first + take, length - take)
-            self._allocated[first:first + take] = b"\x01" * take
+            self._mark(first, first + take)
             taken.append((first, take))
             count -= take
         return taken
@@ -108,21 +111,43 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
         """
         for first, count in runs:
             end = first + count
-            stop = self._allocated_until(first, end)
+            stop = self._unmark(first, end)
             if stop > first:
-                self._allocated[first:stop] = bytes(stop - first)
                 self._used -= stop - first
                 self._append_free(first, stop - first)
             if stop < end:
                 raise InvalidArgument(f"double free or foreign block {stop}")
 
-    def _allocated_until(self, first: int, end: int) -> int:
-        """The first block of ``[first, end)`` that is not allocated, or ``end``."""
-        if first < 0:
+    def _mark(self, first: int, end: int) -> None:
+        """Add the free blocks ``[first, end)`` to the allocated runs."""
+        starts, ends = self._starts, self._ends
+        i = bisect_right(starts, first)
+        if i < len(starts) and starts[i] == end:  # join the run after
+            end = ends[i]
+            del starts[i], ends[i]
+        if i > 0 and ends[i - 1] == first:  # join the run before
+            ends[i - 1] = end
+        else:
+            starts.insert(i, first)
+            ends.insert(i, end)
+
+    def _unmark(self, first: int, end: int) -> int:
+        """Take ``[first, stop)`` out of the allocated runs and return ``stop``,
+        the first block of ``[first, end)`` that is not allocated, or ``end``."""
+        starts, ends = self._starts, self._ends
+        i = bisect_right(starts, first) - 1  # the run that holds first, if any
+        if end <= first or i < 0 or ends[i] <= first:
             return first
-        bound = max(first, min(end, self.capacity_blocks))
-        hole = self._allocated.find(0, first, bound)
-        return bound if hole < 0 else hole
+        run_start, run_end = starts[i], ends[i]
+        stop = min(end, run_end)
+        if stop < run_end:  # keep the tail piece
+            starts.insert(i + 1, stop)
+            ends.insert(i + 1, run_end)
+        if run_start < first:  # keep the head piece
+            ends[i] = first
+        else:
+            del starts[i], ends[i]
+        return stop
 
     def _append_free(self, first: int, count: int) -> None:
         if self._free:
@@ -134,16 +159,7 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
 
     def allocated_runs(self) -> List[Run]:
         """Every allocated block, as ascending maximal runs."""
-        runs: List[Run] = []
-        bitmap = self._allocated
-        first = bitmap.find(1)
-        while first >= 0:
-            end = bitmap.find(0, first)
-            if end < 0:
-                end = len(bitmap)
-            runs.append((first, end - first))
-            first = bitmap.find(1, end)
-        return runs
+        return [(first, end - first) for first, end in zip(self._starts, self._ends)]
 
     # -- accounting ----------------------------------------------------------------
 
@@ -182,8 +198,8 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
         pool.block_bytes = snap["block_bytes"]
         pool.capacity_blocks = snap["capacity_blocks"]
         pool._free = deque(runs_of(snap["free"]))
-        pool._allocated = bytearray(pool.capacity_blocks)
-        for first, count in runs_of(snap["allocated"]):
-            pool._allocated[first:first + count] = b"\x01" * count
+        allocated = runs_of(snap["allocated"])
+        pool._starts = [first for first, _count in allocated]
+        pool._ends = [first + count for first, count in allocated]
         pool._used = len(snap["allocated"])
         return pool

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Tuple
 
-from repro.topology.cluster import ClusterSpec, NodeKind
+from repro.topology.cluster import ClusterSpec, NodeKind, tor_switch
 from repro.topology.failure_domains import FailureDomain, derive_failure_domains
 
 __all__ = [
@@ -231,7 +231,7 @@ def blast_radius(
         if cluster is None:
             return BlastRadius(links=(fault.target,))
         for rack in cluster.racks:
-            if fault.target == f"switch-{rack.name}":
+            if fault.target == tor_switch(rack.name):
                 # ToR death: the rack is unreachable — hosts still run
                 # but no packet reaches them, and no data is lost.
                 names = tuple(n.name for n in rack.nodes)

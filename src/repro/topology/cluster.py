@@ -15,7 +15,16 @@ from typing import Dict, List, Optional
 
 from repro.units import GiB
 
-__all__ = ["NodeKind", "Node", "Rack", "ClusterSpec", "paper_testbed"]
+__all__ = ["CORE_SWITCH", "NodeKind", "Node", "Rack", "ClusterSpec",
+           "paper_testbed", "tor_switch"]
+
+#: The one core switch every top-of-rack switch uplinks to.
+CORE_SWITCH = "switch-core"
+
+
+def tor_switch(rack_name: str) -> str:
+    """The name of rack ``rack_name``'s top-of-rack switch."""
+    return f"switch-{rack_name}"
 
 
 class NodeKind(enum.Enum):
@@ -61,11 +70,19 @@ class ClusterSpec:
         if not racks:
             raise ValueError("cluster needs at least one rack")
         self.racks = list(racks)
+        # Hosts and switches share one name space: faults name either.
+        switches = {CORE_SWITCH}
+        for rack in self.racks:
+            if tor_switch(rack.name) in switches:
+                raise ValueError(f"rack name {rack.name!r} repeats or names the core switch")
+            switches.add(tor_switch(rack.name))
         self._nodes: Dict[str, Node] = {}
         for rack in self.racks:
             for node in rack.nodes:
                 if node.name in self._nodes:
                     raise ValueError(f"duplicate node name {node.name!r}")
+                if node.name in switches:
+                    raise ValueError(f"node {node.name!r} is named like a switch")
                 if node.rack != rack.name:
                     raise ValueError(
                         f"node {node.name} claims rack {node.rack!r} but "

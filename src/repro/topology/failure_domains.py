@@ -61,9 +61,7 @@ def _domain_distance(
     """Minimum switch hops between any node pair across two domains.
 
     Distances are symmetric, so with a ``cache`` each unordered domain
-    pair is computed once; per-node lookups ride the topology's
-    single-source tables (:meth:`NetworkTopology.hops_from`) instead of
-    issuing one shortest-path query per node pair.
+    pair is computed once.
     """
     key = (
         (a.domain_id, b.domain_id)
@@ -73,7 +71,7 @@ def _domain_distance(
     if cache is not None and key in cache:
         return cache[key]
     distance = min(
-        topo.hops_from(na.name)[nb.name] for na in a.nodes for nb in b.nodes
+        topo.hop_count(na.name, nb.name) for na in a.nodes for nb in b.nodes
     )
     if cache is not None:
         cache[key] = distance

@@ -6,74 +6,40 @@ feed two consumers:
 
 * the storage balancer sorts partner failure domains by hop distance,
 * the fabric model charges per-hop latency on NVMf round trips.
+
+In a two-tier tree the shortest path between two hosts is fixed by
+their racks: hosts in one rack meet at its ToR, hosts in two racks at
+the core, the only switch joining two ToRs. So hop counts are a closed
+form of rack membership, with no graph to search.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-import networkx as nx
-
-from repro.topology.cluster import ClusterSpec
+from repro.topology.cluster import CORE_SWITCH, ClusterSpec, tor_switch
 
 __all__ = ["NetworkTopology"]
 
 
 class NetworkTopology:
-    """Graph of nodes and switches with cached hop counts."""
+    """Hosts by rack, under one ToR switch per rack and one core switch."""
 
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
-        self.graph = nx.Graph()
-        core = "switch-core"
-        self.graph.add_node(core, kind="switch")
-        for rack in cluster.racks:
-            tor = f"switch-{rack.name}"
-            self.graph.add_node(tor, kind="switch")
-            self.graph.add_edge(tor, core)
-            for node in rack.nodes:
-                self.graph.add_node(node.name, kind="host")
-                self.graph.add_edge(node.name, tor)
-        self._hops: Dict[tuple, int] = {}
-        self._from: Dict[str, Dict[str, int]] = {}
-
-    def hops_from(self, a: str) -> Dict[str, int]:
-        """Hop counts from ``a`` to every reachable node, computed by one
-        cached single-source BFS.
-
-        Pairwise queries over a whole domain (the balancer's partner
-        sort touches every domain pair) collapse to one traversal per
-        source instead of one per pair.
-        """
-        table = self._from.get(a)
-        if table is None:
-            lengths = nx.single_source_shortest_path_length(self.graph, a)
-            table = {
-                b: (0 if b == a else length - 1)
-                for b, length in lengths.items()
-            }
-            self._from[a] = table
-        return table
 
     def hop_count(self, a: str, b: str) -> int:
         """Number of switch hops between hosts ``a`` and ``b``.
 
         Same host -> 0. Same rack -> 1 (through the ToR). Cross-rack ->
-        3 (ToR, core, ToR). Computed as shortest-path edges minus one
-        (the last edge descends into the destination host).
+        3 (ToR, core, ToR). An unknown host raises ``KeyError``.
         """
+        rack_a = self.cluster.node(a).rack
+        rack_b = self.cluster.node(b).rack
         if a == b:
             return 0
-        key = (a, b) if a <= b else (b, a)
-        hops = self._hops.get(key)
-        if hops is None:
-            hops = self.hops_from(key[0])[key[1]]
-            self._hops[key] = hops
-        return hops
+        return 1 if rack_a == rack_b else 3
 
     def switches(self) -> List[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d["kind"] == "switch"]
-
-    def latency_hops(self, a: str, b: str) -> int:
-        """Alias used by the fabric model (reads better at call sites)."""
-        return self.hop_count(a, b)
+        """The core switch, then each rack's ToR, in cluster order."""
+        return [CORE_SWITCH] + [tor_switch(rack.name) for rack in self.cluster.racks]

@@ -98,6 +98,65 @@ def test_snapshot_restore_roundtrip():
     assert alloc_one(restored) == alloc_one(pool)
 
 
+def fragmented_pool():
+    """20 blocks, all taken, then ``[3, 5)``, ``[9, 10)`` and ``[14, 17)``
+    freed."""
+    pool = BlockPool(20 * 4096, 4096)
+    pool.alloc_runs(20)
+    pool.free_runs([(3, 2), (9, 1), (14, 3)])
+    return pool
+
+
+def test_fragmented_pool_keeps_maximal_runs():
+    pool = fragmented_pool()
+    assert pool.allocated_runs() == [(0, 3), (5, 4), (10, 4), (17, 3)]
+    assert pool.used_blocks == 14
+
+
+def test_allocation_filling_a_gap_leaves_one_run():
+    pool = BlockPool(10 * 4096, 4096)
+    pool.alloc_runs(10)
+    pool.free_runs([(3, 2)])
+    assert pool.allocated_runs() == [(0, 3), (5, 5)]
+    assert pool.alloc_runs(2) == [(3, 2)]
+    assert pool.allocated_runs() == [(0, 10)]
+
+
+def test_allocation_before_a_run_joins_it():
+    pool = BlockPool(10 * 4096, 4096)
+    pool.alloc_runs(10)
+    pool.free_runs([(0, 3)])
+    pool.alloc_runs(3)
+    assert pool.allocated_runs() == [(0, 10)]
+
+
+def test_freeing_the_middle_of_a_run_leaves_two_runs():
+    pool = BlockPool(10 * 4096, 4096)
+    pool.alloc_runs(10)
+    pool.free_runs([(4, 2)])
+    assert pool.allocated_runs() == [(0, 4), (6, 4)]
+    assert pool.free_blocks == 2
+
+
+def test_free_past_a_run_frees_its_prefix_then_raises_at_the_first_free_block():
+    pool = BlockPool(10 * 4096, 4096)
+    pool.alloc_runs(10)
+    pool.free_runs([(2, 3)])
+    with pytest.raises(InvalidArgument, match="block 2$"):
+        pool.free_runs([(0, 4)])
+    assert pool.allocated_runs() == [(5, 5)]
+    assert pool.free_blocks == 5
+    assert pool.snapshot()["free"] == [2, 3, 4, 0, 1]
+
+
+def test_restore_of_a_fragmented_pool_keeps_its_runs():
+    pool = fragmented_pool()
+    restored = BlockPool.restore(pool.snapshot())
+    assert restored.allocated_runs() == pool.allocated_runs()
+    assert restored.snapshot() == pool.snapshot()
+    assert restored.free_blocks == pool.free_blocks
+
+
 def test_invalid_construction():
     with pytest.raises(InvalidArgument):
         BlockPool(0, KiB(32))

@@ -1,4 +1,4 @@
-"""Tests for cluster spec, network graph, and failure domains."""
+"""Tests for cluster spec, network topology, and failure domains."""
 
 import pytest
 
@@ -62,6 +62,14 @@ def test_hop_counts():
     assert topo.hop_count("comp00", "stor00") == 3
     # Symmetric.
     assert topo.hop_count("stor00", "comp00") == 3
+
+
+def test_unknown_host_raises_key_error_naming_it():
+    topo = NetworkTopology(paper_testbed())
+    with pytest.raises(KeyError, match="nope"):
+        topo.hop_count("comp00", "nope")
+    with pytest.raises(KeyError, match="switch-core"):
+        topo.hop_count("switch-core", "switch-core")
 
 
 def test_switch_inventory():
@@ -133,12 +141,41 @@ def _many_domain_cluster():
     return ClusterSpec(racks)
 
 
-def test_hops_from_matches_pairwise_hop_count():
-    topo = NetworkTopology(paper_testbed())
-    names = [n.name for n in paper_testbed().nodes]
-    table = topo.hops_from("comp00")
-    for other in names:
-        assert table[other] == topo.hop_count("comp00", other)
+@pytest.mark.parametrize("make_cluster", [paper_testbed, _many_domain_cluster])
+def test_hop_counts_follow_rack_membership(make_cluster):
+    """The counts a BFS over the two-tier switch graph gives: 0 for the
+    same host, 1 within a rack, 3 across racks, for every ordered pair;
+    the switches are the core, then each rack's ToR in rack order."""
+    cluster = make_cluster()
+    topo = NetworkTopology(cluster)
+    for a in cluster.nodes:
+        for b in cluster.nodes:
+            want = 0 if a.name == b.name else 1 if a.rack == b.rack else 3
+            assert topo.hop_count(a.name, b.name) == want
+    assert topo.switches() == ["switch-core"] + [
+        f"switch-{rack.name}" for rack in cluster.racks
+    ]
+
+
+def _rack(name, *hosts):
+    return Rack(name, [Node(h, NodeKind.COMPUTE, name, "p0", 4, GiB(1)) for h in hosts])
+
+
+def test_rack_named_core_rejected():
+    # Its ToR would share the core switch's name.
+    with pytest.raises(ValueError, match="core"):
+        ClusterSpec([_rack("core", "a0", "a1"), _rack("r1", "b0", "b1")])
+
+
+def test_duplicate_rack_names_rejected():
+    with pytest.raises(ValueError, match="r0"):
+        ClusterSpec([_rack("r0", "a0", "a1"), _rack("r0", "b0", "b1")])
+
+
+@pytest.mark.parametrize("host", ["switch-r1", "switch-r0", "switch-core"])
+def test_host_named_like_a_switch_rejected(host):
+    with pytest.raises(ValueError, match=host):
+        ClusterSpec([_rack("r0", host, "a1"), _rack("r1", "b0", "b1")])
 
 
 def test_domain_distance_cache_preserves_partner_ordering():
