@@ -28,7 +28,7 @@ Two layers enforce the repro's correctness contracts:
   (same-timestamp multi-actor mutations on objects without a declared
   ``_san_tiebreak``, with FLOW103 candidates annotated as predicted),
   and a leak sanitizer (unreleased resources, queue pairs, namespaces,
-  and in-flight envelopes at run end).
+  and data-plane IOs still in flight at run end).
 """
 
 from repro.analysis.detlint import RULES, lint_file, lint_paths

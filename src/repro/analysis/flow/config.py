@@ -26,7 +26,6 @@ class AnalysisConfig:
     hot_modules: Tuple[str, ...] = (
         "repro/sim/engine.py",
         "repro/nvme/queues.py",
-        "repro/io/envelope.py",
         "repro/tiers/base.py",
         "repro/tiers/nvm.py",
         "repro/tiers/cxl.py",

@@ -23,7 +23,7 @@ Three checkers run behind ``repro run <exp> --sanitize``:
 * **Leak sanitizer** — at run end, every monitored object is asked
   whether it still holds simulation state that should have drained:
   Resource slots held or waiters stranded, QueuePair commands never
-  completed, arbiter queues never granted, DataPlane envelopes still in
+  completed, arbiter queues never granted, DataPlane IOs still in
   flight, and NVMe namespaces created mid-run but never deleted.
 
 The monitor is attached by :func:`attach_if_active` from the system
@@ -241,13 +241,15 @@ class Monitor:
 
     # -- leak hooks ---------------------------------------------------------
 
-    def note_io_begin(self, req: Any) -> None:
+    def note_io_begin(self, name: str) -> int:
+        """A data-plane IO named ``name`` started; returns its ticket."""
         self.io_begun += 1
-        self.io_outstanding[id(req)] = getattr(req, "span_name", "io")
+        self.io_outstanding[self.io_begun] = name
+        return self.io_begun
 
-    def note_io_end(self, req: Any) -> None:
+    def note_io_end(self, ticket: int) -> None:
         self.io_done += 1
-        self.io_outstanding.pop(id(req), None)
+        self.io_outstanding.pop(ticket, None)
 
     def note_namespace(self, ssd: Any, ns: Any, created: bool) -> None:
         if created:
@@ -270,7 +272,7 @@ class Monitor:
             findings.append(
                 Finding(
                     "leak",
-                    f"IORequest({span_name})",
+                    f"DataPlane.submit({span_name})",
                     "submitted to the DataPlane but never completed",
                 )
             )
@@ -319,12 +321,6 @@ class Monitor:
                     "leak", entry.label,
                     f"{stranded} admission waiter(s) never granted",
                 )
-        inflight_bytes = getattr(obj, "_inflight_bytes", None)
-        if isinstance(inflight_bytes, int) and inflight_bytes > 0:
-            yield Finding(
-                "leak", entry.label,
-                f"{inflight_bytes} byte(s) still inside the admission window",
-            )
 
     # -- determinism --------------------------------------------------------
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Set
 
-from repro.baselines.common import BaselineClient, BaselineFile
+from repro.baselines.common import BaselineClient, BaselineFile, bump_allocate
 from repro.baselines.lustre import LustreCluster
 from repro.bench import calibration as cal
-from repro.errors import OutOfSpace, RecoveryError
+from repro.errors import RecoveryError
 from repro.io.qos import QoSClass
 from repro.nvme.commands import Payload
 from repro.nvme.device import SSD, SSDSpec, generic_nand_ssd
@@ -75,13 +75,9 @@ class BurstBufferCluster:
         self.counters = Counter()
 
     def allocate(self, node: str, nbytes: int) -> int:
-        aligned = -(-nbytes // 4096) * 4096
-        nsid = self.node_namespaces[node]
-        limit = self.node_ssds[node].namespace(nsid).nbytes
-        if self._cursors[node] + aligned > limit:
-            raise OutOfSpace(f"burst buffer on {node} full")
-        offset = self._cursors[node]
-        self._cursors[node] += aligned
+        limit = self.node_ssds[node].namespace(self.node_namespaces[node]).nbytes
+        offset, self._cursors[node] = bump_allocate(
+            self._cursors[node], nbytes, limit, f"burst buffer on {node} full")
         return offset
 
     def client(self, name: str, node: str) -> "BurstBufferClient":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import BadFileDescriptor, FileExists, FileNotFound, InvalidArgument, OutOfSpace
 from repro.io.qos import QoSClass
@@ -29,7 +29,22 @@ from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 from repro.obs.metrics import Counter
 
-__all__ = ["StorageServer", "BaselineFile", "BaselineClient"]
+__all__ = ["bump_allocate", "StorageServer", "BaselineFile", "BaselineClient"]
+
+
+def bump_allocate(used: int, nbytes: int, limit: int, full: str) -> Tuple[int, int]:
+    """Take ``nbytes``, rounded up to whole 4 KiB pages, from a
+    ``limit``-byte space whose first ``used`` bytes are taken.
+
+    Returns ``(offset, used)``: where the piece starts and the space's
+    new cursor. The baselines never free device space, so a cursor is
+    the whole allocator. Raises :class:`~repro.errors.OutOfSpace` with
+    message ``full`` when the piece does not fit.
+    """
+    end = used + -(-nbytes // 4096) * 4096
+    if end > limit:
+        raise OutOfSpace(full)
+    return used, end
 
 
 class StorageServer:  # reproflow: ignore[FLOW103] (one server coroutine per instance)
@@ -56,11 +71,9 @@ class StorageServer:  # reproflow: ignore[FLOW103] (one server coroutine per ins
         self.counters = Counter()
 
     def _allocate(self, nbytes: int) -> int:
-        aligned = -(-nbytes // 4096) * 4096
-        if self._cursor + aligned > self.namespace.nbytes:
-            raise OutOfSpace(f"{self.node_name}: baseline namespace full")
-        offset = self._cursor
-        self._cursor += aligned
+        offset, self._cursor = bump_allocate(
+            self._cursor, nbytes, self.namespace.nbytes,
+            f"{self.node_name}: baseline namespace full")
         return offset
 
     def write_chunk(
@@ -74,7 +87,7 @@ class StorageServer:  # reproflow: ignore[FLOW103] (one server coroutine per ins
         The service resource is held for the software time only; device
         transfers from different requests overlap (the device itself is
         the shared fair-share resource). Returns the device offset.
-        Baselines speak the envelope's traffic classes too, so the qos
+        Baselines speak the data plane's traffic classes too, so the qos
         experiment's per-class accounting covers every system.
         """
         n_chunks = max(1, -(-payload.nbytes // self.io_chunk_bytes))

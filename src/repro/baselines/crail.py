@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator
 
 from repro.apps.deployment import Deployment
-from repro.baselines.common import BaselineClient, BaselineFile
+from repro.baselines.common import BaselineClient, BaselineFile, bump_allocate
 from repro.bench import calibration as cal
-from repro.errors import OutOfSpace
 from repro.fabric.nvmf import NVMfInitiator
 from repro.io.qos import QoSClass
 from repro.nvme.commands import Payload
@@ -54,11 +53,8 @@ class CrailCluster:
         self.counters = Counter()
 
     def allocate(self, nbytes: int) -> int:
-        aligned = -(-nbytes // 4096) * 4096
-        if self._cursor + aligned > self.namespace.nbytes:
-            raise OutOfSpace("crail namespace full")
-        offset = self._cursor
-        self._cursor += aligned
+        offset, self._cursor = bump_allocate(
+            self._cursor, nbytes, self.namespace.nbytes, "crail namespace full")
         return offset
 
     def client(self, name: str, node_name: str) -> "CrailClient":

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator
 
-from repro.baselines.common import BaselineClient, BaselineFile
+from repro.baselines.common import BaselineClient, BaselineFile, bump_allocate
 from repro.bench import calibration as cal
-from repro.errors import InvalidArgument, OutOfSpace
+from repro.errors import InvalidArgument
 from repro.nvme.commands import Payload
 from repro.nvme.device import SSD
 from repro.nvme.namespace import Namespace
@@ -65,11 +65,9 @@ class KernelFilesystem:
         return KernelFSClient(self, name)
 
     def allocate(self, nbytes: int) -> int:
-        aligned = -(-nbytes // 4096) * 4096
-        if self._cursor + aligned > self.namespace.nbytes:
-            raise OutOfSpace(f"{self.variant} filesystem full")
-        offset = self._cursor
-        self._cursor += aligned
+        offset, self._cursor = bump_allocate(
+            self._cursor, nbytes, self.namespace.nbytes,
+            f"{self.variant} filesystem full")
         return offset
 
     # -- variant-specific allocation cost (held under the shared lock) -----------------

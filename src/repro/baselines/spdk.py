@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Generator
 
-from repro.baselines.common import BaselineClient, BaselineFile
+from repro.baselines.common import BaselineClient, BaselineFile, bump_allocate
 from repro.bench import calibration as cal
-from repro.errors import OutOfSpace
 from repro.fabric.transport import Transport
 from repro.io.qos import QoSClass
 from repro.nvme.commands import Payload
@@ -55,12 +54,9 @@ class RawSPDKClient(BaselineClient):
         self._cursor = 0
 
     def _allocate(self, nbytes: int) -> int:
-        aligned = -(-nbytes // 4096) * 4096
-        if self._cursor + aligned > self.region_bytes:
-            raise OutOfSpace("SPDK bdev region full")
-        offset = self.region_offset + self._cursor
-        self._cursor += aligned
-        return offset
+        offset, self._cursor = bump_allocate(
+            self._cursor, nbytes, self.region_bytes, "SPDK bdev region full")
+        return self.region_offset + offset
 
     # -- system hooks -------------------------------------------------------------------
 

@@ -146,10 +146,6 @@ NVM_WRITE_BANDWIDTH = GB_per_s(2.3)
 #: One 128 GB module per node (the smallest DC PMM SKU).
 NVM_CAPACITY_BYTES = 128 * 10**9
 
-#: Internal access granularity (the 256 B "XPLine"): sub-line stores
-#: pay a device-side read-modify-write.
-NVM_LINE_BYTES = 256
-
 # ---------------------------------------------------------------------------
 # CXL-SSD tier — OpenCXD (arXiv:2508.11477) validates a load/store
 # window + device-side DRAM cache model against a real CXL-SSD device

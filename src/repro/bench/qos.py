@@ -144,9 +144,9 @@ def batching_round_trips(
 
     Same fleet, same seed, same N-N burst over the fabric — the only
     difference is ``config.batching``.  The batch limit is lowered to
-    1 MiB so each dump fans out into several chunks per envelope: the
-    unbatched path rings the doorbell once per chunk, the batched path
-    once per envelope.  Returns
+    1 MiB so each dump fans out into several chunks per data-plane write:
+    the unbatched path rings the doorbell once per chunk, the batched
+    path once per write.  Returns
     ``{"off"|"on": {"round_trips", "payload_bytes", "makespan_s"}}``;
     payload bytes must match between the two runs for the round-trip
     comparison to mean anything.

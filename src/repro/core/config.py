@@ -18,7 +18,6 @@ in Table II's recovery numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.bench import calibration as cal
 from repro.errors import InvalidArgument
@@ -35,12 +34,9 @@ class RuntimeConfig:
     state_region_bytes: int = cal.STATE_REGION_BYTES
     log_free_threshold: float = cal.LOG_FREE_THRESHOLD
     max_batch_bytes: int = cal.MAX_BATCH_BYTES
-    coalescing_window: int = 8
-    # Unified I/O pipeline knobs (off by default: the pinned-seed
-    # baselines are bit-identical with batching disabled and no
-    # admission window).
+    # Doorbell batching of checkpoint data writes (off by default: the
+    # pinned-seed baselines are bit-identical with it disabled).
     batching: bool = False
-    inflight_window_bytes: Optional[int] = None
     # Ablation flags (Figure 7(d) drilldown).
     userspace_direct: bool = True
     private_namespace: bool = True
@@ -75,12 +71,8 @@ class RuntimeConfig:
             )
         if not 0.0 < self.log_free_threshold < 1.0:
             raise InvalidArgument("log_free_threshold must be in (0, 1)")
-        if self.coalescing_window < 1:
-            raise InvalidArgument("coalescing_window must be >= 1")
         if self.max_batch_bytes < self.hugeblock_bytes:
             raise InvalidArgument("max_batch_bytes must cover one hugeblock")
-        if self.inflight_window_bytes is not None and self.inflight_window_bytes < 1:
-            raise InvalidArgument("inflight_window_bytes must be >= 1 when set")
 
     @property
     def effective_block_bytes(self) -> int:

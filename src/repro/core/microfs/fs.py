@@ -142,7 +142,6 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         self.oplog = OperationLog(
             config.log_region_bytes,
             coalescing=config.log_coalescing,
-            window=config.coalescing_window,
             physical_records=not config.metadata_provenance,
         )
         self._handles: Dict[int, FileHandle] = {}

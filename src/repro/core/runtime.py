@@ -125,13 +125,7 @@ class NVMeCRRuntime:
         candidates = entry if isinstance(entry, (list, tuple)) else [entry]
         for target in candidates:
             if target.ssd is grant.ssd:
-                # Bind initiator+target so the unified pipeline's retry
-                # path can reconnect after a target daemon restart.
-                return FabricTransport(
-                    self.initiator.connect(target),
-                    initiator=self.initiator,
-                    target=target,
-                )
+                return FabricTransport(self.initiator.connect(target))
         raise SimulationError(
             f"no NVMf target on {grant.node_name} exports {grant.ssd.name}"
         )

@@ -52,10 +52,6 @@ class FabricError(ReproError):
     """NVMe-over-Fabrics transport failure (disconnected QP, bad target)."""
 
 
-class DeadlineExceeded(ReproError):
-    """An IORequest's deadline passed before its retries could finish."""
-
-
 # --------------------------------------------------------------------------
 # Filesystem / runtime (POSIX-shaped)
 # --------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import FabricError
 from repro.fabric.rdma import RdmaFabric
-from repro.io.envelope import merge_adjacent_extents
 from repro.io.qos import QoSClass
 from repro.nvme.commands import CommandResult, Payload
 from repro.nvme.device import SSD
@@ -43,6 +42,31 @@ __all__ = ["NVMfTarget", "NVMfInitiator", "NVMfSession"]
 # SPDK target-side processing per command: "negligible software
 # overhead" (§III-D) but not zero — one sub-microsecond poll-mode pass.
 _TARGET_PER_COMMAND = us(0.4)
+
+
+def merge_adjacent_extents(
+    chunks: List[Tuple[int, Payload]]
+) -> List[Tuple[int, Payload]]:
+    """Coalesce device-adjacent real-data chunks into single extents.
+
+    Only consecutive entries whose device ranges abut are merged, and
+    only when both carry real bytes — synthetic (fingerprinted) payloads
+    keep their identity tags so read-back verification still holds; they
+    share the batch's single fabric round trip without being fused.
+    """
+    merged: List[Tuple[int, Payload]] = []
+    for offset, payload in chunks:
+        if merged:
+            prev_off, prev = merged[-1]
+            if (
+                prev_off + prev.nbytes == offset
+                and not prev.is_synthetic
+                and not payload.is_synthetic
+            ):
+                merged[-1] = (prev_off, Payload.of_bytes(prev.data + payload.data))
+                continue
+        merged.append((offset, payload))
+    return merged
 
 
 class NVMfTarget:

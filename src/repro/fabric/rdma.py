@@ -86,7 +86,7 @@ class RdmaFabric:
     def one_way_latency(self, src: str, dst: str, qos=None) -> float:
         """Propagation + switching latency for one message (no payload).
 
-        ``qos`` (a :class:`~repro.io.qos.QoSClass` from the envelope) only
+        ``qos`` (the :class:`~repro.io.qos.QoSClass` of the IO) only
         labels the per-class message counter; the wire is class-blind.
         """
         if src == dst:

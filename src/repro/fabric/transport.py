@@ -3,8 +3,8 @@
 The microfs data plane does not care whether its SSD partition is local
 (Figure 7(c)'s local experiments) or remote over NVMf (everything else);
 both are exposed through :class:`Transport`. Every operation accepts the
-envelope's QoS class, and :meth:`Transport.write_batch` is the
-doorbell-batched submission the unified pipeline uses when
+IO's QoS class, and :meth:`Transport.write_batch` is the
+doorbell-batched submission the data plane uses when
 ``RuntimeConfig.batching`` is on.
 """
 
@@ -13,8 +13,7 @@ from __future__ import annotations
 import abc
 from typing import List, Optional, Tuple
 
-from repro.errors import FabricError
-from repro.fabric.nvmf import NVMfInitiator, NVMfSession, NVMfTarget
+from repro.fabric.nvmf import NVMfSession
 from repro.io.qos import QoSClass
 from repro.nvme.commands import Payload
 from repro.nvme.device import SSD
@@ -63,9 +62,6 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def flush(self, nsid: int, qos: Optional[QoSClass] = None) -> Event:
         """Durability barrier."""
-
-    def reconnect(self) -> None:
-        """Re-establish the transport after a failure (no-op locally)."""
 
     @property
     @abc.abstractmethod
@@ -124,31 +120,10 @@ class LocalPCIeTransport(Transport):
 
 
 class FabricTransport(Transport):
-    """Remote access through an NVMf session.
+    """Remote access through an NVMf session."""
 
-    When built with its ``initiator``/``target`` pair, :meth:`reconnect`
-    can replace a dead session after a target daemon restart — the
-    retry path of the unified pipeline's envelope budgets.
-    """
-
-    def __init__(
-        self,
-        session: NVMfSession,
-        initiator: Optional[NVMfInitiator] = None,
-        target: Optional[NVMfTarget] = None,
-    ):
+    def __init__(self, session: NVMfSession):
         self.session = session
-        self.initiator = initiator
-        self.target = target
-
-    def reconnect(self) -> None:
-        if self.session.connected and self.session.target.alive:
-            return
-        if self.initiator is None or self.target is None:
-            raise FabricError(
-                f"cannot reconnect {self.description}: no initiator/target bound"
-            )
-        self.session = self.initiator.connect(self.target)
 
     def write(
         self,

@@ -1,29 +1,11 @@
-"""Unified I/O request pipeline: typed envelopes + QoS classes.
+"""Traffic classes of the I/O path.
 
-Every hop of the write path — app shim, MicroFS, data plane, NVMf
-session, NVMe device — consumes and produces one typed envelope:
-:class:`~repro.io.envelope.IORequest` going down, and
-:class:`~repro.io.envelope.IOCompletion` coming back up. The envelope
-carries the traffic class (:class:`~repro.io.qos.QoSClass`), the
-deadline/retry budget, and the span link the observability layer needs
-to stitch cross-layer traces.
+Every IO the data plane submits carries a
+:class:`~repro.io.qos.QoSClass` down through the NVMf session to the
+device's front-end arbiter; :data:`~repro.io.qos.DEFAULT_WRR_WEIGHTS`
+are the arbiter's default weights.
 """
 
-from repro.io.envelope import (
-    IOCompletion,
-    IORequest,
-    iter_read_chunks,
-    iter_write_chunks,
-    merge_adjacent_extents,
-)
 from repro.io.qos import DEFAULT_WRR_WEIGHTS, QoSClass
 
-__all__ = [
-    "DEFAULT_WRR_WEIGHTS",
-    "IOCompletion",
-    "IORequest",
-    "QoSClass",
-    "iter_read_chunks",
-    "iter_write_chunks",
-    "merge_adjacent_extents",
-]
+__all__ = ["DEFAULT_WRR_WEIGHTS", "QoSClass"]

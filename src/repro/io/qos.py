@@ -1,11 +1,11 @@
-"""Traffic classes for the unified I/O pipeline.
+"""Traffic classes of the data plane's IOs.
 
 The runtime differentiates three kinds of traffic (plus a default): the
 operation-log WAL barrier (latency-critical, tiny), bulk checkpoint
 data (bandwidth-bound, large), and recovery reads (restart critical
-path). The classes ride inside every :class:`~repro.io.envelope.IORequest`
-so any layer — data-plane admission, NVMf batching, device arbitration —
-can arbitrate, batch, or shed load by class.
+path). Every data-plane IO carries its class through the NVMf session
+to the device, so the device's front-end arbiter can order traffic by
+class.
 
 This module is dependency-free on purpose: the NVMe command layer
 imports it without creating cycles.
@@ -19,7 +19,7 @@ __all__ = ["QoSClass", "DEFAULT_WRR_WEIGHTS"]
 
 
 class QoSClass(enum.Enum):
-    """Traffic class carried by every IORequest."""
+    """Traffic class carried by every data-plane IO."""
 
     #: Operation-log appends and superblock commits: the WAL barrier.
     #: Tiny, synchronous, and on the critical path of every metadata op.

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.errors import InvalidCommand
-
-if TYPE_CHECKING:  # repro.io.envelope imports this module; avoid the cycle
-    from repro.io.qos import QoSClass
+from repro.io.qos import QoSClass
 
 __all__ = ["Opcode", "Payload", "Command", "CommandResult"]
 
@@ -115,7 +113,7 @@ class Command:
     nblocks: int = 0
     payload: Optional[Payload] = None
     qid: int = 0  # submitting hardware queue
-    qos: Optional["QoSClass"] = None  # traffic class from the IORequest envelope
+    qos: Optional[QoSClass] = None  # traffic class of the submitting IO
 
     def __post_init__(self) -> None:
         if self.slba < 0 or self.nblocks < 0:

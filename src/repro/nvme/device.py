@@ -321,7 +321,7 @@ class SSD(DeviceModel):  # reproflow: ignore[FLOW103] (deliberate: runtime sanit
         value is a :class:`CommandResult`.
 
         ``rate_cap`` lets the fabric layer impose the network link limit;
-        ``qos`` is the envelope's traffic class, consulted by the
+        ``qos`` is the submitting IO's traffic class, consulted by the
         optional front-end arbiter.
         """
         self._check_io(nsid, offset, payload.nbytes, command_size)

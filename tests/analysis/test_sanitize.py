@@ -1,5 +1,8 @@
 """Runtime sanitizers: planted bugs are caught, clean runs pass."""
 
+import numpy as np
+import pytest
+
 from repro.analysis.sanitize import (
     Monitor,
     attach_if_active,
@@ -8,8 +11,15 @@ from repro.analysis.sanitize import (
     sanitized_run,
     session,
 )
+from repro.core.config import RuntimeConfig
+from repro.core.data_plane import DataPlane
+from repro.fabric.transport import LocalPCIeTransport
+from repro.nvme import SSD, Payload
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
+from repro.units import GiB, MiB
+
+from tests.conftest import deterministic_spec
 
 
 def _monitored_env():
@@ -143,6 +153,25 @@ def test_stranded_waiter_is_reported():
 
     _, report = sanitized_run(run)
     assert any("waiter(s) still queued" in f.message for f in report.leaks)
+
+
+@pytest.mark.parametrize("until,leaked", [(1e-3, True), (None, False)])
+def test_unfinished_dataplane_io_is_reported(until, leaked):
+    # A 64 MiB write takes tens of ms; cutting the run at 1 ms leaves it
+    # parked inside DataPlane.submit.
+    def run():
+        env = _monitored_env()
+        ssd = SSD(env, deterministic_spec(), "s0", rng=np.random.default_rng(0))
+        ns = ssd.create_namespace(GiB(4))
+        plane = DataPlane(env, LocalPCIeTransport(env, ssd), ns.nsid,
+                          RuntimeConfig())
+        env.process(plane.write_runs([(0, Payload.synthetic("ckpt", MiB(64)))]))
+        env.run(until=until)
+
+    _, report = sanitized_run(run)
+    named = [f for f in report.leaks if "dataplane.write" in f.subject]
+    assert bool(named) is leaked, report.render()
+    assert all("never completed" in f.message for f in named)
 
 
 def test_released_resource_is_not_a_leak():

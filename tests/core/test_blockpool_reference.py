@@ -31,6 +31,7 @@ def assert_same(pool, ref):
     assert pool.free_blocks == ref.free_blocks
     assert pool.used_blocks == ref.used_blocks
     assert pool.snapshot() == ref.snapshot()
+    assert pool.allocated_runs() == runs_of(sorted(ref.snapshot()["allocated"]))
 
 
 _OPS = st.sampled_from(["alloc1", "alloc", "free1", "free_run", "free_runs", "restore"])

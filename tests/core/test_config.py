@@ -39,11 +39,6 @@ def test_invalid_threshold():
         RuntimeConfig(log_free_threshold=1.5)
 
 
-def test_invalid_window():
-    with pytest.raises(InvalidArgument):
-        RuntimeConfig(coalescing_window=0)
-
-
 def test_batch_must_cover_block():
     with pytest.raises(InvalidArgument):
         RuntimeConfig(hugeblock_bytes=MiB(16), max_batch_bytes=MiB(8))

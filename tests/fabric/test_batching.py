@@ -126,4 +126,3 @@ def test_dataplane_round_trips_at_equal_payload(batching):
 
 def test_dataplane_batching_off_by_default():
     assert RuntimeConfig().batching is False
-    assert RuntimeConfig().inflight_window_bytes is None

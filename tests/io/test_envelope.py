@@ -1,30 +1,25 @@
-"""Tests for the typed I/O envelope and its chunking helpers.
+"""Tests for the data plane's chunking helpers and entry-point accounting.
 
 The chunk helpers are the single implementation that replaced the three
 copies in ``DataPlane.write_runs`` / ``read_runs`` / ``_chunk``; the
 reference implementations here transcribe the legacy loops verbatim so
-any divergence in the unified helper shows up directly, and the
-pinned-seed test proves the refactored pipeline still produces the
-exact event sequence on a chunk-heavy workload.
+any divergence in the unified helper shows up directly. Each entry
+point's counters, span attributes and command sizes are checked
+through the entry point itself, and the pinned-seed test replays a
+chunk-heavy workload twice and requires the same outcome.
 """
 
 import numpy as np
 import pytest
 
+from repro.bench import calibration as cal
 from repro.core.config import RuntimeConfig
-from repro.core.data_plane import DataPlane
-from repro.errors import InvalidArgument
+from repro.core.data_plane import DataPlane, iter_read_chunks, iter_write_chunks
+from repro.fabric.nvmf import merge_adjacent_extents
 from repro.fabric.transport import LocalPCIeTransport
-from repro.io import (
-    IOCompletion,
-    IORequest,
-    QoSClass,
-    iter_read_chunks,
-    iter_write_chunks,
-    merge_adjacent_extents,
-)
+from repro.io import QoSClass
 from repro.nvme import SSD, Payload
-from repro.nvme.commands import Opcode
+from repro.obs.context import attach
 from repro.sim import Environment
 from repro.units import GiB, KiB, MiB
 
@@ -140,97 +135,130 @@ def test_merge_mixed_real_and_synthetic():
     assert merged[2][1].data == b"yyzz"
 
 
-# -- IORequest factories ------------------------------------------------------
+# -- entry points: one IO each ------------------------------------------------
+
+
+class _RecordingTransport(LocalPCIeTransport):
+    """Local PCIe transport that records every submission it forwards."""
+
+    def __init__(self, env, ssd):
+        super().__init__(env, ssd)
+        self.calls = []
+
+    def write(self, nsid, offset, payload, command_size, qos=None):
+        self.calls.append(("write", offset, payload, command_size, qos))
+        return super().write(nsid, offset, payload, command_size, qos=qos)
+
+    def read(self, nsid, offset, nbytes, command_size, qos=None):
+        self.calls.append(("read", offset, nbytes, command_size, qos))
+        return super().read(nsid, offset, nbytes, command_size, qos=qos)
+
+    def flush(self, nsid, qos=None):
+        self.calls.append(("flush", qos))
+        return super().flush(nsid, qos=qos)
+
+
+def _recording_plane(max_batch_bytes=MiB(8)):
+    env = Environment()
+    ssd = SSD(env, deterministic_spec(), "s0", rng=np.random.default_rng(0))
+    ns = ssd.create_namespace(GiB(4))
+    transport = _RecordingTransport(env, ssd)
+    plane = DataPlane(env, transport, ns.nsid,
+                      RuntimeConfig(max_batch_bytes=max_batch_bytes))
+    ctx = attach(env, tracing=True)
+    return env, plane, transport, ctx
+
+
+def _run(env, gen):
+    return env.run_until_complete(env.process(gen))
+
+
+def _span(ctx, name):
+    (span,) = [s for s in ctx.tracer.spans if s.name == name]
+    return span
 
 
 def test_write_runs_factory_fields():
+    env, dp, transport, ctx = _recording_plane()
     runs = [(0, Payload.synthetic("x", MiB(2)))]
-    req = IORequest.write_runs(7, runs, command_size=KiB(32), chunk_bytes=MiB(8))
-    assert req.op is Opcode.WRITE
-    assert req.nsid == 7
-    assert req.qos is QoSClass.CKPT_DATA
-    assert req.batchable
-    assert not req.flush_after
-    assert req.total_bytes == MiB(2)
-    assert req.derived_cmds() == MiB(2) // KiB(32)
-    assert req.span_name == "dataplane.write"
-    assert dict(req.counters) == {
-        "data_bytes_written": MiB(2), "data_commands": MiB(2) // KiB(32),
-    }
+    assert _run(env, dp.write_runs(runs, command_size=KiB(32))) == MiB(2)
+    cmds = MiB(2) // KiB(32)
+    assert _span(ctx, "dataplane.write").attrs == {"bytes": MiB(2), "cmds": cmds}
+    assert dp.counters.get("data_bytes_written") == MiB(2)
+    assert dp.counters.get("data_commands") == cmds
+    assert dp.counters.get("user_cpu_time") == cmds * cal.SPDK_SUBMIT_COST
+    # Checkpoint data by default, no flush.
+    assert [(c[0], c[3], c[4]) for c in transport.calls] == [
+        ("write", KiB(32), QoSClass.CKPT_DATA)]
+    assert list(dp.class_latencies) == [QoSClass.CKPT_DATA]
 
 
 def test_read_runs_factory_fields():
-    req = IORequest.read_runs(1, [(0, KiB(64))], command_size=KiB(32),
-                              chunk_bytes=None)
-    assert req.op is Opcode.READ
-    assert req.qos is QoSClass.RECOVERY
-    assert not req.batchable
-    assert req.derived_cmds() == 2
-    assert dict(req.counters) == {"data_bytes_read": KiB(64)}
+    env, dp, transport, ctx = _recording_plane()
+    _run(env, dp.write_runs([(0, Payload.synthetic("x", KiB(64)))]))
+    transport.calls.clear()
+    extents = _run(env, dp.read_runs([(0, KiB(64))], command_size=KiB(32)))
+    assert sum(e.length for e in extents) == KiB(64)
+    assert _span(ctx, "dataplane.read").attrs == {"bytes": KiB(64), "cmds": 2}
+    assert dp.counters.get("data_bytes_read") == KiB(64)
+    assert transport.calls == [("read", 0, KiB(64), KiB(32), QoSClass.RECOVERY)]
 
 
 def test_log_page_factory_pads_and_pins_one_command():
-    req = IORequest.log_page(1, 4096, b"rec", wire_bytes=64)
-    assert req.qos is QoSClass.JOURNAL
-    assert req.flush_after
-    # One doorbell regardless of size; wire bytes padded, 4 KiB floor.
-    assert req.derived_cmds() == 1
-    assert req.command_size == 4096
-    assert req.extents[0][1].nbytes == 64
-    assert dict(req.counters) == {"log_bytes_written": 64, "log_flushes": 1}
+    env, dp, transport, ctx = _recording_plane()
+    _run(env, dp.write_log_page(4096, b"rec", 64))
+    # One doorbell regardless of size; wire bytes padded, 4 KiB floor;
+    # then the WAL barrier.
+    (write, flush) = transport.calls
+    assert write[0] == "write" and write[1] == 4096
+    assert write[2].data == b"rec".ljust(64, b"\x00")
+    assert write[3] == 4096
+    assert write[4] is QoSClass.JOURNAL
+    assert flush == ("flush", QoSClass.JOURNAL)
+    assert _span(ctx, "dataplane.log_page").attrs == {"bytes": 64}
+    assert dp.counters.get("log_bytes_written") == 64
+    assert dp.counters.get("log_flushes") == 1
+    assert dp.counters.get("user_cpu_time") == cal.SPDK_SUBMIT_COST
 
 
 def test_log_page_large_page_keeps_wire_size():
-    req = IORequest.log_page(1, 0, b"x" * KiB(16), wire_bytes=KiB(16))
-    assert req.command_size == KiB(16)
-    assert req.derived_cmds() == 1
+    env, dp, transport, ctx = _recording_plane()
+    _run(env, dp.write_log_page(0, b"x" * KiB(16), KiB(16)))
+    assert transport.calls[0][3] == KiB(16)
+    assert dp.counters.get("user_cpu_time") == cal.SPDK_SUBMIT_COST
 
 
 def test_state_blob_factory_floor_division():
     # Historical cost model: floor, not ceil — 5 pages / 32 KiB = 0 -> 1.
-    req = IORequest.state_blob(1, 0, b"s" * (5 * 4096), command_size=KiB(32))
-    assert req.derived_cmds() == 1
-    req = IORequest.state_blob(1, 0, b"s" * KiB(96), command_size=KiB(32))
-    assert req.derived_cmds() == 3
-    assert req.flush_after
-    assert req.extents[0][1].nbytes == KiB(96)  # padded to 4 KiB pages
+    for nbytes, cmds in ((5 * 4096, 1), (KiB(96), 3)):
+        env, dp, transport, ctx = _recording_plane()
+        _run(env, dp.write_state(0, b"s" * (nbytes - 1)))
+        (write, flush) = transport.calls
+        assert write[2].nbytes == nbytes  # padded to 4 KiB pages
+        assert write[3] == KiB(32)
+        assert flush[0] == "flush"
+        assert dp.counters.get("user_cpu_time") == cmds * cal.SPDK_SUBMIT_COST
+        assert dp.counters.get("state_bytes_written") == nbytes
+        assert _span(ctx, "dataplane.state").attrs == {"bytes": nbytes}
 
 
 def test_recovery_read_skips_software_charge():
-    req = IORequest.recovery_read(1, 0, KiB(8), command_size=KiB(32))
-    assert req.op is Opcode.READ
-    assert not req.charge_software
-    assert req.span_attrs["recovery"] is True
-
-
-def test_request_validation():
-    with pytest.raises(InvalidArgument):
-        IORequest(op=Opcode.FLUSH, nsid=1, extents=[], command_size=4096)
-    with pytest.raises(InvalidArgument):
-        IORequest(op=Opcode.WRITE, nsid=1, extents=[], command_size=0)
-    with pytest.raises(InvalidArgument):
-        IORequest(op=Opcode.WRITE, nsid=1, extents=[], command_size=4096,
-                  retry_budget=-1)
-    with pytest.raises(InvalidArgument):
-        IORequest(op=Opcode.WRITE, nsid=1, extents=[], command_size=4096,
-                  qos="journal")
+    env, dp, transport, ctx = _recording_plane()
+    _run(env, dp.write_log_page(0, b"state", 4096))
+    charged = dp.counters.get("user_cpu_time")
+    assert _run(env, dp.read_bytes(0, KiB(8))) == b"state".ljust(KiB(8), b"\x00")
+    assert dp.counters.get("user_cpu_time") == charged
+    assert _span(ctx, "dataplane.read").attrs == {"bytes": KiB(8), "recovery": True}
+    assert transport.calls[-1] == ("read", 0, KiB(8), KiB(32), QoSClass.RECOVERY)
 
 
 def test_chunks_unified_iterator_covers_all_extents():
+    env, dp, transport, ctx = _recording_plane(max_batch_bytes=MiB(2))
     runs = [(0, Payload.synthetic("a", MiB(3))), (MiB(10), Payload.synthetic("b", MiB(1)))]
-    req = IORequest.write_runs(1, runs, command_size=KiB(32), chunk_bytes=MiB(2))
-    chunks = list(req.chunks())
-    assert [(o, p.nbytes) for o, p in chunks] == [
+    _run(env, dp.write_runs(runs))
+    assert [(c[1], c[2].nbytes) for c in transport.calls] == [
         (0, MiB(2)), (MiB(2), MiB(1)), (MiB(10), MiB(1)),
     ]
-
-
-def test_completion_ok_property():
-    done = IOCompletion(status="ok", qos=QoSClass.JOURNAL, nbytes=1,
-                        n_cmds=1, latency_s=0.0)
-    assert done.ok
-    assert not IOCompletion(status="deadline", qos=QoSClass.JOURNAL,
-                            nbytes=0, n_cmds=0, latency_s=0.0).ok
 
 
 # -- pinned-seed event-sequence equivalence (satellite: dedup proof) ---------

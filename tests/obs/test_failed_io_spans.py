@@ -2,7 +2,7 @@
 
 A P4800X behind NVMf and a ``DataPlane``: an 8 MiB write loses power
 mid-transfer, and the client then sleeps 5 s.  The data plane's
-envelope span, the NVMf span and the device span must each end at the
+span, the NVMf span and the device span must each end at the
 failure instant with ``error`` naming the exception, rather than being
 clamped to the end of the capture by ``close_open_spans``.
 """
