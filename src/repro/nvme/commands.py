@@ -126,9 +126,16 @@ class Command:
 
 @dataclass
 class CommandResult:
-    """Completion record returned for a command."""
+    """Completion record returned for a command.
 
-    command: Command
+    ``command`` is the command this completes, where there is one.  The
+    SSD sets it for FLUSH and IDENTIFY.  A batch read or write from
+    ``SSD.write`` or ``SSD.read`` spans many commands and leaves it
+    ``None``.  ``QueuePair`` sets it, on every completion it posts
+    (failed ones included), to the command that was submitted.
+    """
+
+    command: Optional[Command]
     latency: float
     payload: Optional[Payload] = None  # populated for READ
     extra: dict = field(default_factory=dict)

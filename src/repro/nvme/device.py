@@ -629,12 +629,6 @@ class _Command:
                 ssd.counters.add("bytes_read", self.nbytes)
                 ssd.counters.add("read_commands", self.n_cmds)
                 extra = {"extents": extents}
-            lba = ssd.spec.lba_size
-            cmd = Command(
-                Opcode.WRITE if self.is_write else Opcode.READ, self.nsid,
-                slba=self.offset // lba, nblocks=max(1, self.nbytes // lba),
-                payload=self.payload, qos=self.qos,
-            )
             latency = ssd.env.now - self.started
             if self.tr is not None:
                 self.tr.end(self.span)
@@ -643,7 +637,7 @@ class _Command:
                 ctx.metrics.histogram(
                     "nvme.write_latency_s" if self.is_write else "nvme.read_latency_s"
                 ).observe(latency)
-            self.done.succeed(CommandResult(cmd, latency=latency, extra=extra))
+            self.done.succeed(CommandResult(None, latency=latency, extra=extra))
         except Exception as exc:  # noqa: BLE001 - fails the command
             self._fail(exc)
 

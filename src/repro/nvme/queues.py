@@ -191,7 +191,7 @@ class QueuePair:
         monitor = self.env.monitor
         if monitor is not None:
             monitor.note_mutation(self, "submit")
-        slot = {"done": False, "result": None, "error": None}
+        slot = {"done": False, "result": None, "error": None, "command": command}
         self._inflight.append(slot)
         tr = tracer_of(self.env)
         if tr is not None:
@@ -228,11 +228,13 @@ class QueuePair:
             if slot["error"] is not None:
                 # Errors surface on poll as failed results.
                 result = CommandResult(
-                    command=None, latency=0.0, extra={"error": slot["error"]}
+                    command=slot["command"], latency=0.0,
+                    extra={"error": slot["error"]},
                 )
-                self._completions.append(result)
             else:
-                self._completions.append(slot["result"])
+                result = slot["result"]
+                result.command = slot["command"]
+            self._completions.append(result)
 
     # -- polling ------------------------------------------------------------------
 

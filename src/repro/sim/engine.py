@@ -226,10 +226,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._triggered = True
+        # The Event slots, set here rather than through super().__init__:
+        # a timeout is born triggered, and this is the hottest constructor.
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._exc = None
+        self._triggered = True
+        self._processed = False
+        self._had_callbacks = False
+        self.delay = delay
         env._schedule(self, delay)
 
     def cancel(self) -> None:

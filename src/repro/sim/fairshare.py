@@ -17,12 +17,27 @@ This server sets every storage makespan, so its float operations and
 their order are part of the results; the hot path only strips
 interpreter work around them:
 
+- Rates live in one server-level sequence, ``_rates``, by position: the
+  i-th rate belongs to the i-th flow of ``_flows`` in insertion order.
+  A re-rate writes it, and it stays valid until the flow set next
+  changes; every drain, finish test and the fp-dust guard zip the flows
+  with it. A wake removes finished flows before it re-rates, so in
+  between (inside the finished flows' completions) the sequence is
+  stale, but the clock has not moved there, so nothing drains at it.
 - Water-filling visits flows in ascending *limit* (the cap, or ``inf``
   when uncapped) with a stable sort, so equal limits keep arrival
-  order. The server counts its flows per limit. While one limit is
-  present the stable sort is the identity, so it is skipped and the
-  flows are rated in dict order, which is the order the sort would
-  return. The same loop finds the next-completion horizon.
+  order; each flow takes ``min(limit, remaining capacity / flows
+  left)``. The server counts its flows per limit, and those whose limit
+  is below capacity. While every flow shares one limit and none is
+  below capacity, no cap can bind (each share is at most the capacity
+  left, which is at most the limit): the rates are the plain equal-share
+  sequence, which depends only on the flow count. The first re-rate at
+  a count water-fills and memoizes the rates as a tuple; later ones at
+  that count take the tuple and the next-completion horizon as the
+  minimum of ``remaining / rate``. Otherwise the server sorts (skipped
+  while one limit is present: a stable sort of equal keys is the
+  identity), water-fills and writes each rate at its flow's position,
+  finding the horizon in the same loop.
 - ``bytes_served`` is the one accumulator, a left-to-right sum over the
   flows in dict order. Busy capacity-time equals it, so
   :meth:`FairShareServer.utilisation` reads it.
@@ -45,8 +60,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from operator import attrgetter, truediv
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment, Event, Timeout
@@ -54,13 +69,13 @@ from repro.sim.engine import Environment, Event, Timeout
 __all__ = ["FairShareServer", "Flow"]
 
 _EPSILON_BYTES = 1e-6  # below this a flow is complete (fp dust)
-_BY_LIMIT = attrgetter("limit")
+_REMAINING = attrgetter("remaining")
 
 
 class Flow:
     """One in-flight transfer on a :class:`FairShareServer`."""
 
-    __slots__ = ("flow_id", "remaining", "limit", "rate", "done", "started_at")
+    __slots__ = ("flow_id", "remaining", "limit", "done", "started_at")
 
     def __init__(
         self,
@@ -74,7 +89,6 @@ class Flow:
         self.remaining = float(nbytes)
         #: Water-filling key: the cap, or ``inf`` when uncapped.
         self.limit = math.inf if cap is None else cap
-        self.rate = 0.0
         #: Completion function, called with the flow's elapsed seconds.
         self.done = done
         self.started_at = started_at
@@ -94,8 +108,14 @@ class FairShareServer:
         self.capacity = float(capacity)
         self.name = name
         self._flows: Dict[int, Flow] = {}
+        #: Each flow's rate, by position in ``_flows`` (see the module doc).
+        self._rates: Sequence[float] = ()
         #: In-flight flows per distinct limit.
         self._limits: Dict[float, int] = {}
+        #: In-flight flows whose limit is below capacity.
+        self._capped = 0
+        #: Flow count -> rates, while no cap can bind (see the module doc).
+        self._shares: Dict[int, Tuple[float, ...]] = {}
         self._ids = itertools.count()
         self._last_update = env.now
         #: The pending wake, cancelled by the next re-rate.
@@ -132,8 +152,11 @@ class FairShareServer:
         self._advance()
         flow = Flow(next(self._ids), nbytes, cap, done, self.env.now)
         self._flows[flow.flow_id] = flow
+        limit = flow.limit
         limits = self._limits
-        limits[flow.limit] = limits.get(flow.limit, 0) + 1
+        limits[limit] = limits.get(limit, 0) + 1
+        if limit < self.capacity:
+            self._capped += 1
         self._rerate_and_schedule()
 
     def transfer(self, nbytes: float, cap: Optional[float] = None) -> Event:
@@ -159,8 +182,8 @@ class FairShareServer:
         dt = now - self._last_update
         if dt > 0:
             served = self.bytes_served
-            for flow in self._flows.values():
-                moved = flow.rate * dt
+            for flow, rate in zip(self._flows.values(), self._rates):
+                moved = rate * dt
                 flow.remaining -= moved
                 served += moved
             self.bytes_served = served
@@ -175,72 +198,103 @@ class FairShareServer:
         telemetry = self.env.telemetry
         if telemetry is not None:
             telemetry.fairshare_recomputes += 1
-        # Progressive filling: capped flows that can't use a full fair
-        # share free capacity for the rest.
-        order: Iterable[Flow] = flows.values()
-        if len(self._limits) > 1:
-            order = sorted(order, key=_BY_LIMIT)
-        remaining_capacity = self.capacity
-        left = len(flows)
-        horizon = math.inf
-        for flow in order:
-            share = remaining_capacity / left
-            limit = flow.limit
-            rate = limit if limit < share else share  # min(share, limit)
-            flow.rate = rate
-            remaining_capacity -= rate
-            left -= 1
-            if rate > 0:
-                time_left = flow.remaining / rate
-                if time_left < horizon:
-                    horizon = time_left
+        if self._capped or len(self._limits) > 1:
+            horizon = self._water_fill()
+        else:
+            count = len(flows)
+            rates = self._shares.get(count)
+            if rates is None:  # the first re-rate at this count fills the memo
+                horizon = self._water_fill()
+                self._shares[count] = tuple(self._rates)
+            else:
+                self._rates = rates
+                horizon = min(map(truediv, map(_REMAINING, flows.values()), rates))
         if self._wake is not None:
             self._wake.cancel()  # superseded: it will never be dispatched
         # Next completion. _advance() can leave an almost-finished flow
         # with remaining ~ -1e-16 (fp dust), which would make the horizon
         # negative and the timeout below illegal — clamp to "fire now".
-        wake = self._wake = self.env.timeout(max(0.0, horizon))
+        wake = self._wake = Timeout(self.env, max(0.0, horizon))
         wake.callbacks.append(self._on_wake)
+
+    def _water_fill(self) -> float:
+        """Progressive filling: capped flows that can't use a full fair
+        share free capacity for the rest. Writes ``_rates`` by position
+        and returns the next-completion horizon."""
+        flows = list(self._flows.values())
+        limits = [flow.limit for flow in flows]
+        order: Sequence[int] = range(len(flows))
+        if len(self._limits) > 1:
+            order = sorted(order, key=limits.__getitem__)
+        rates = [0.0] * len(flows)
+        remaining_capacity = self.capacity
+        left = len(flows)
+        horizon = math.inf
+        for i in order:
+            share = remaining_capacity / left
+            limit = limits[i]
+            rate = limit if limit < share else share  # min(share, limit)
+            rates[i] = rate
+            remaining_capacity -= rate
+            left -= 1
+            if rate > 0:
+                time_left = flows[i].remaining / rate
+                if time_left < horizon:
+                    horizon = time_left
+        self._rates = rates
+        return horizon
 
     def _on_wake(self, wake: Event) -> None:
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
         flows = self._flows
-        served = self.bytes_served
+        rates = self._rates
+        # Remaining service time below a picosecond is numeric dust.
         finished: List[Flow] = []
-        for flow in flows.values():
-            if dt > 0:
-                moved = flow.rate * dt
-                flow.remaining -= moved
+        if dt > 0:
+            served = self.bytes_served
+            for flow, rate in zip(flows.values(), rates):
+                moved = rate * dt
+                remaining = flow.remaining - moved
+                flow.remaining = remaining
                 served += moved
-            remaining = flow.remaining
-            # Remaining service time below a picosecond is numeric dust.
-            if remaining <= _EPSILON_BYTES or (
-                flow.rate > 0 and remaining / flow.rate <= 1e-12
-            ):
-                finished.append(flow)
-        self.bytes_served = served
+                if remaining <= _EPSILON_BYTES or (
+                    rate > 0 and remaining / rate <= 1e-12
+                ):
+                    finished.append(flow)
+            self.bytes_served = served
+        else:
+            finished = [
+                flow for flow, rate in zip(flows.values(), rates)
+                if flow.remaining <= _EPSILON_BYTES or (
+                    rate > 0 and flow.remaining / rate <= 1e-12)
+            ]
         if not finished:
             # Floating-point guard: when every remaining service time is
             # below the clock's resolution (now + dt == now), time can
             # no longer advance — finish the nearest flow explicitly
             # rather than spinning.
             nearest = min(
-                (f for f in flows.values() if f.rate > 0),
-                key=lambda f: f.remaining / f.rate,
+                (pair for pair in zip(flows.values(), rates) if pair[1] > 0),
+                key=lambda pair: pair[0].remaining / pair[1],
                 default=None,
             )
-            if nearest is not None and now + nearest.remaining / nearest.rate == now:
-                finished = [nearest]
+            if nearest is not None:
+                flow, rate = nearest
+                if now + flow.remaining / rate == now:
+                    finished = [flow]
         limits = self._limits
         for flow in finished:
             del flows[flow.flow_id]
-            held = limits[flow.limit] - 1
+            limit = flow.limit
+            held = limits[limit] - 1
             if held:
-                limits[flow.limit] = held
+                limits[limit] = held
             else:
-                del limits[flow.limit]
+                del limits[limit]
+            if limit < self.capacity:
+                self._capped -= 1
         for flow in finished:
             flow.done(now - flow.started_at)
         if flows:

@@ -6,7 +6,8 @@ reference implementations here transcribe the legacy loops verbatim so
 any divergence in the unified helper shows up directly. Each entry
 point's counters, span attributes and command sizes are checked
 through the entry point itself, and the pinned-seed test replays a
-chunk-heavy workload twice and requires the same outcome.
+chunk-heavy workload twice, requires the same outcome, and pins its
+makespan and counters.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.io import QoSClass
 from repro.nvme import SSD, Payload
 from repro.obs.context import attach
 from repro.sim import Environment
+from repro.sim.engine import EngineTelemetry
 from repro.units import GiB, KiB, MiB
 
 from tests.conftest import deterministic_spec
@@ -290,27 +292,43 @@ def _build_plane(seed=0):
 
 
 def test_pinned_seed_event_sequence_identical():
-    """Two identical builds replay the exact same event sequence, and the
-    unified chunker reproduces the pre-refactor pinned timings.
+    """Two identical builds replay the same run, and it keeps its pinned
+    makespan and counters.
 
-    The makespan and counter values below were captured from the legacy
-    per-call-site chunking loops; they pin the envelope's helpers to the
-    historical behaviour bit-for-bit.
+    The makespan and every data-plane, SSD and fair-share counter below
+    are literals recorded from this workload; a change to chunking,
+    command sizes, the flush barrier or the device's service model moves
+    one of them.  One sequential client on a jitter-free device takes
+    the same time in 4 MiB chunks as in 8 MiB ones, so only the flow
+    count (a media and a command-rate flow per device IO) sees the chunk
+    size.
     """
     outcomes = []
     for _ in range(2):
         env, ssd, dp = _build_plane()
+        env.telemetry = EngineTelemetry()
         data = _chunky_workload(env, dp)
-        outcomes.append((
-            env.now,
-            data,
-            dp.counters.get("data_bytes_written"),
-            dp.counters.get("data_commands"),
-            dp.counters.get("log_bytes_written"),
-            dp.counters.get("state_bytes_written"),
-            ssd.counters.get("bytes_written"),
-            ssd.counters.get("commands"),
-        ))
+        flows = (env.telemetry.fairshare_flows, env.telemetry.fairshare_recomputes)
+        outcomes.append((env.now, data, dp.counters.as_dict(),
+                         ssd.counters.as_dict(), flows))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][1] == b"x" * KiB(64)
-    assert outcomes[0][2] == MiB(20) + KiB(64)
+    now, data, plane_counters, ssd_counters, flows = outcomes[0]
+    assert now == 0.01901576727272727
+    assert flows == (20, 20)
+    assert data == b"x" * KiB(64)
+    assert plane_counters == {
+        "data_bytes_read": MiB(20),
+        "data_bytes_written": MiB(20) + KiB(64),
+        "data_commands": 656,
+        "log_bytes_written": 4096,
+        "log_flushes": 1,
+        "state_bytes_written": KiB(40),
+        "user_cpu_time": 0.0005192,
+    }
+    assert ssd_counters == {
+        "bytes_read": MiB(20) + KiB(64),
+        "bytes_written": MiB(20) + KiB(64) + 4096 + KiB(40),
+        "flushes": 2,
+        "read_commands": 642,
+        "write_commands": 659,
+    }

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import DeviceError
+from repro.errors import DeviceError, DevicePoweredOff
 from repro.nvme import Command, Opcode, Payload, PowerController, QueuePair, SSD
 from repro.sim import Environment
 from repro.units import GiB, MiB
@@ -32,6 +32,51 @@ def test_submit_and_poll(qp_rig):
     results = env.run_until_complete(env.process(waiter()))
     assert len(results) == 1
     assert results[0].command.opcode is Opcode.WRITE
+
+
+def test_batch_io_result_has_no_command_and_the_queue_pair_attaches_it(qp_rig):
+    """``SSD.write``/``SSD.read`` batches span many commands, so their
+    results carry none; a queue pair's completions carry the command it
+    submitted."""
+    env, ssd, ns, qp = qp_rig
+    written = env.run_until_complete(
+        ssd.write(ns.nsid, 0, Payload.of_bytes(b"w" * 8192), 4096))
+    read = env.run_until_complete(ssd.read(ns.nsid, 0, 8192, 4096))
+    assert written.command is None and read.command is None
+    submitted = [
+        Command(Opcode.WRITE, ns.nsid, slba=4, nblocks=1,
+                payload=Payload.of_bytes(b"q" * 4096)),
+        Command(Opcode.READ, ns.nsid, slba=4, nblocks=1),
+        Command(Opcode.FLUSH, ns.nsid),
+    ]
+    for command in submitted:
+        qp.submit(command)
+
+    def waiter():
+        return (yield from qp.wait_all())
+
+    results = env.run_until_complete(env.process(waiter()))
+    assert len(results) == len(submitted)
+    assert all(r.command is c for r, c in zip(results, submitted))
+
+
+def test_failed_completion_carries_its_command(qp_rig):
+    env, ssd, ns, qp = qp_rig
+    command = Command(Opcode.WRITE, ns.nsid, slba=0, nblocks=MiB(64) // 4096,
+                      payload=Payload.synthetic("lost", MiB(64)))
+    qp.submit(command)
+
+    def power_cut():
+        yield env.timeout(1e-4)
+        ssd.power_fail()
+
+    def waiter():
+        return (yield from qp.wait_all())
+
+    env.process(power_cut())
+    (result,) = env.run_until_complete(env.process(waiter()))
+    assert isinstance(result.extra["error"], DevicePoweredOff)
+    assert result.command is command
 
 
 def test_in_order_completion(qp_rig):

@@ -11,6 +11,12 @@ Sizes are whole bytes and arrivals sit on a 1/64 s grid, so distinct
 exact completions lie far apart compared with the server's completion
 epsilon (1e-6 bytes, or a picosecond of service), which lumps only
 completions that are that close.
+
+A completion may start the next flow on the same server from inside the
+wake that finishes it, before the wake re-rates; the server's rates are
+kept by position, so this checks that they stay aligned with its flows.
+Those flows start at float completion instants, so only their times are
+checked, against the oracle run on the recorded start instants.
 """
 
 import math
@@ -66,6 +72,46 @@ def test_completions_match_exact_fluid_max_min(flows):
         for j in range(len(flows)):
             if exact[i] < exact[j]:
                 assert position[i] < position[j], (i, j)
+
+
+_follow_ons = st.one_of(st.none(), st.tuples(st.integers(0, 1000), _caps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_flows, _follow_ons), min_size=1, max_size=8))
+@example([((0.0, 100, None), (50, None)), ((0.0, 200, None), None)])
+@example([((0.0, 100, 10.0), (100, None)), ((0.0, 300, None), (20, 5.0)),
+          ((0.5, 0, None), (40, None))])
+def test_completion_that_starts_a_flow_matches_exact_times(specs):
+    """Each flow's completion may start one more flow on the same server."""
+    env = Environment()
+    server = FairShareServer(env, capacity=CAPACITY)
+    started = []  # (start instant, nbytes, cap) of every flow, by index
+    finished = []
+
+    def launch(nbytes, cap, follow_on):
+        index = len(started)
+        started.append((env.now, nbytes, cap))
+
+        def done(_elapsed):
+            finished.append((index, env.now))
+            if follow_on is not None:
+                launch(*follow_on, None)
+
+        server.start(nbytes, cap, done)
+
+    def flow(start, nbytes, cap, follow_on):
+        yield env.timeout(start)
+        launch(nbytes, cap, follow_on)
+
+    for (start, nbytes, cap), follow_on in specs:
+        env.process(flow(start, nbytes, cap, follow_on))
+    env.run()
+    assert len(started) == len(specs) + sum(f is not None for _s, f in specs)
+    assert sorted(i for i, _t in finished) == list(range(len(started)))
+    exact = completion_times(CAPACITY, started)
+    for i, got in finished:
+        assert abs(got - float(exact[i])) <= 1e-9 * float(exact[i]), (i, got, exact[i])
 
 
 def test_oracle_water_fills_capped_flows():

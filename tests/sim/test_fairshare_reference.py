@@ -4,14 +4,20 @@
 was rewritten (sort on every re-rate, separate passes, generation-tagged
 wakes).  Both run the same schedule on twin environments, and every
 observable must be ``==``: completion order and times, bytes served,
-events scheduled and the engine's fair-share counters.
+events scheduled and the engine's fair-share counters.  The kernel
+takes its rates from a per-count memo while no cap can bind, and
+water-fills otherwise; the memo is checked against the reference's
+water-filling directly, and the examples below switch between the two
+paths mid-run.
 """
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench import calibration as cal
 from repro.sim import Environment, FairShareServer
 from repro.sim.engine import EngineTelemetry
 from tests.sim.reference_fairshare import FairShareServer as ReferenceServer
@@ -89,8 +95,52 @@ _FP_DUST = [
 ]
 
 
+# Two uncapped flows share by the memo until a binding 5 B/s cap arrives
+# at t=1 and forces the water-filling; it finishes first (t=3), and the
+# memo rates the survivors again.
+_CAP_ARRIVES = [(0.0, 500.0, None), (0.0, 400.0, None), (1.0, 10.0, 5.0)]
+# Distinct limits, all at or above capacity: no cap binds, but the rates
+# follow the stable sort by limit, not arrival order.
+_SLACK_LIMITS = [(0.0, 300.0, 150.0), (0.0, 200.0, None), (0.5, 100.0, CAPACITY),
+                 (0.5, 50.0, None)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(schedule=schedules())
 @example(schedule=_FP_DUST)
+@example(schedule=_CAP_ARRIVES)
+@example(schedule=_SLACK_LIMITS)
 def test_kernel_matches_reference_exactly(schedule):
     assert _observe(FairShareServer, schedule) == _observe(ReferenceServer, schedule)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(schedule=schedules())
+def test_kernel_matches_reference_exactly_deep(schedule):
+    """The same property over ten times as many schedules."""
+    assert _observe(FairShareServer, schedule) == _observe(ReferenceServer, schedule)
+
+
+@pytest.mark.parametrize("capacity", [
+    100.0,
+    cal.P4800X_WRITE_BANDWIDTH,
+    1 / cal.P4800X_PER_COMMAND_COST,
+    3 * 0.1,  # not a binary fraction
+])
+def test_memoized_shares_equal_the_water_filling(capacity):
+    """For 1 to 64 flows, the rates memoized from uncapped flows are the
+    reference's water-filling for flows capped at exactly the capacity,
+    bit for bit (positive floats, so ``==`` is bit equality): with no
+    cap that can bind they depend only on the count.  A second re-rate
+    at that count takes them from the memo."""
+    env = Environment()
+    server = FairShareServer(env, capacity=capacity)
+    reference = ReferenceServer(env, capacity=capacity)
+    for count in range(1, 65):
+        server.start(float(count), None, lambda _elapsed: None)
+        reference.transfer(1.0, cap=capacity)
+        memoized = server._shares[count]
+        server._rerate_and_schedule()
+        assert server._rates is memoized
+        assert memoized == tuple(flow.rate for flow in reference._flows.values())
