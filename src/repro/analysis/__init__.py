@@ -27,8 +27,8 @@ Two layers enforce the repro's correctness contracts:
   diff per-layer event-stream hashes), a sim-time race detector
   (same-timestamp multi-actor mutations on objects without a declared
   ``_san_tiebreak``, with FLOW103 candidates annotated as predicted),
-  and a leak sanitizer (unreleased resources, queue pairs, namespaces,
-  and data-plane IOs still in flight at run end).
+  and a leak sanitizer (unreleased resources, ungranted arbiter
+  waiters, namespaces, and data-plane IOs still in flight at run end).
 """
 
 from repro.analysis.detlint import RULES, lint_file, lint_paths

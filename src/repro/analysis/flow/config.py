@@ -28,7 +28,6 @@ class AnalysisConfig:
         "repro/nvme/queues.py",
         "repro/tiers/base.py",
         "repro/tiers/nvm.py",
-        "repro/tiers/cxl.py",
         "repro/tiers/client.py",
     )
     #: Per-rule path allowlists (suffix match): rule does not fire there.

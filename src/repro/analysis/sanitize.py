@@ -22,9 +22,9 @@ Three checkers run behind ``repro run <exp> --sanitize``:
 
 * **Leak sanitizer** — at run end, every monitored object is asked
   whether it still holds simulation state that should have drained:
-  Resource slots held or waiters stranded, QueuePair commands never
-  completed, arbiter queues never granted, DataPlane IOs still in
-  flight, and NVMe namespaces created mid-run but never deleted.
+  Resource slots held or waiters stranded, arbiter queues never
+  granted, DataPlane IOs still in flight, and NVMe namespaces created
+  mid-run but never deleted.
 
 The monitor is attached by :func:`attach_if_active` from the system
 registry (mirroring ``repro.obs``), records by pure bookkeeping — it
@@ -305,14 +305,6 @@ class Monitor:
                 "leak", entry.label,
                 f"{queue_length} waiter(s) still queued at run end",
             )
-        outstanding = getattr(obj, "outstanding", None)
-        if callable(outstanding):
-            pending = outstanding()
-            if pending:
-                yield Finding(
-                    "leak", entry.label,
-                    f"{pending} submitted command(s) never completed",
-                )
         waiting = getattr(obj, "_waiting", None)
         if callable(waiting):  # WrrArbiter
             stranded = waiting()

@@ -147,37 +147,6 @@ NVM_WRITE_BANDWIDTH = GB_per_s(2.3)
 NVM_CAPACITY_BYTES = 128 * 10**9
 
 # ---------------------------------------------------------------------------
-# CXL-SSD tier — OpenCXD (arXiv:2508.11477) validates a load/store
-# window + device-side DRAM cache model against a real CXL-SSD device
-# ---------------------------------------------------------------------------
-
-#: CXL.mem round trip through the host bridge and device controller
-#: for one window access (~600 ns, the far-memory class OpenCXD cites).
-CXL_LINK_LATENCY = ns(600)
-
-#: Effective x8 CXL 2.0 link bandwidth into the device cache
-#: (32 GB/s raw, ~26 GB/s effective after protocol overhead).
-CXL_LINK_BANDWIDTH = GB_per_s(26.0)
-
-#: Device-side DRAM cache in front of the flash backend; misses fetch
-#: whole flash pages.
-CXL_CACHE_BYTES = MiB(512)
-CXL_CACHE_LINE_BYTES = KiB(4)
-
-#: First-access fill penalty when a load window misses the device
-#: cache: one flash page read (fast-NAND class, ~8 us).
-CXL_MISS_LATENCY = us(8.0)
-
-#: Flash backend behind the cache: sustained read/program bandwidth
-#: (dirty cache lines drain to flash at the program rate — the same
-#: token-bucket burst/drain shape as a capacitor-backed NVMe SSD).
-CXL_FLASH_READ_BANDWIDTH = GB_per_s(5.0)
-CXL_FLASH_WRITE_BANDWIDTH = GB_per_s(2.0)
-
-#: 2 TB usable flash capacity behind the window.
-CXL_CAPACITY_BYTES = 2 * 10**12
-
-# ---------------------------------------------------------------------------
 # Distributed baselines — §II-B / §IV
 # ---------------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The tiers experiment: cost-model vs fixed-k checkpoint placement.
 
 §III-F's every-k-th-to-Lustre rule is one point in a policy space.
-With calibrated NVM and CXL-SSD tiers behind the
+With a calibrated NVM tier behind the
 :class:`~repro.tiers.base.DeviceModel` seam, the placement question
 becomes quantitative: for each checkpoint, pay a fast tier's write cost
 and risk losing it to a cascading strike, or pay the durable tier's

@@ -121,7 +121,7 @@ _DESCRIPTIONS: Dict[str, str] = {
     "resilience": "fault-injected campaigns: effective progress vs MTBF",
     "failover": "replicated control plane: availability under leader "
                 "kills and partitions",
-    "tiers": "checkpoint placement over NVM/CXL/NVMe/PFS tiers under "
+    "tiers": "checkpoint placement over NVM/NVMe/PFS tiers under "
              "tier-loss strikes",
     "qos": "per-class latency under FCFS vs WRR arbitration (+ batching)",
     "ablation-coalescing": "log record coalescing on/off",

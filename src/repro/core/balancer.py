@@ -41,10 +41,6 @@ class BalancerPlan:
     job: JobRecord
     grants: List[StorageGrant]
     rank_to_grant: Dict[int, int] = field(default_factory=dict)
-    #: Tier devices available to this job beyond the granted NVMe SSDs
-    #: (NVM modules, CXL-SSDs) — anything implementing the
-    #: :class:`repro.tiers.base.DeviceModel` inventory surface.
-    extra_devices: List[object] = field(default_factory=list)
 
     def grant_of_rank(self, rank: int) -> StorageGrant:
         return self.grants[self.rank_to_grant[rank]]
@@ -68,32 +64,6 @@ class BalancerPlan:
             local_rank, len(group), block_bytes
         )
 
-    def tier_inventory(self) -> Dict[str, Dict[str, float]]:
-        """Per-tier capacity/bandwidth totals for this job's storage.
-
-        Sums the granted SSDs and any attached extra tier devices over
-        the :class:`~repro.tiers.base.DeviceModel` inventory surface,
-        keyed by tier name — the heterogeneous-fleet view placement
-        policies and capacity planners work from.
-        """
-        out: Dict[str, Dict[str, float]] = {}
-        devices: List[object] = [g.ssd for g in self.grants]
-        devices.extend(self.extra_devices)
-        for dev in devices:
-            row = out.setdefault(dev.tier_name, {
-                "devices": 0,
-                "capacity_bytes": 0,
-                "free_bytes": 0,
-                "write_bandwidth": 0.0,
-                "read_bandwidth": 0.0,
-            })
-            row["devices"] += 1
-            row["capacity_bytes"] += dev.capacity_bytes()
-            row["free_bytes"] += dev.free_bytes()
-            row["write_bandwidth"] += dev.write_bandwidth()
-            row["read_bandwidth"] += dev.read_bandwidth()
-        return out
-
 
 class StorageBalancer:
     """Chooses storage nodes for jobs and maps ranks onto them."""
@@ -103,14 +73,6 @@ class StorageBalancer:
         self.topo = scheduler.topo
         self._domains = derive_failure_domains(scheduler.cluster)
         self._partners = partner_domains(self.topo, self._domains)
-        #: Non-NVMe tier devices (NVM, CXL-SSD) registered with the
-        #: balancer; copied onto every plan so per-job tier inventory
-        #: sees the full heterogeneous fleet.
-        self.tier_devices: List[object] = []
-
-    def attach_tier_device(self, device: object) -> None:
-        """Register an extra tier device (DeviceModel) with the balancer."""
-        self.tier_devices.append(device)
 
     # -- failure-domain queries ----------------------------------------------------
 
@@ -171,7 +133,6 @@ class StorageBalancer:
         chosen = candidates[:wanted]
         grants = self.scheduler.grant_storage(job, chosen, bytes_per_device)
         plan = BalancerPlan(job=job, grants=grants)
-        plan.extra_devices = list(self.tier_devices)
         for rank in range(job.spec.nprocs):
             plan.rank_to_grant[rank] = rank % len(grants)
         return plan

@@ -15,7 +15,7 @@ The checkpointer drives its tiers through duck-typed clients:
 * or an explicit tier hierarchy (``targets``) of
   :class:`~repro.core.placement.TierTarget` entries, fastest first,
   each exposing ``write_file``/``read_file`` — the tiered mode the
-  ``tiers`` experiment runs with NVM/CXL fast tiers.
+  ``tiers`` experiment runs with an NVM fast tier.
 
 *Which* tier each checkpoint lands on is a pluggable
 :class:`~repro.core.placement.PlacementPolicy`; the default

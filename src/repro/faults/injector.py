@@ -132,7 +132,7 @@ class FaultInjector:  # reproflow: ignore[FLOW103] (_run/_repair alternate by pr
         """Plan one fault at an absolute simulated time (run by
         :meth:`start`; ties break by insertion order)."""
         if self._started:
-            raise RuntimeError("injector already started; use fire_at()")
+            raise RuntimeError("injector already started")
         self._planned.append((float(time), self._seq, fault, repair_after))
         self._seq += 1
 
@@ -174,20 +174,6 @@ class FaultInjector:  # reproflow: ignore[FLOW103] (_run/_repair alternate by pr
             if delay > 0:
                 yield self.env.timeout(delay)
             self.inject(fault, repair_after)
-
-    def fire_at(
-        self, time: float, fault: Fault, repair_after: Optional[float] = None
-    ) -> Process:
-        """One-shot: an independent process firing ``fault`` at ``time``
-        (usable after :meth:`start`, e.g. from reactive scenarios)."""
-
-        def proc() -> Generator[Event, Any, None]:
-            delay = time - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            self.inject(fault, repair_after)
-
-        return self.env.process(proc())
 
     # -- injection ----------------------------------------------------------
 

@@ -190,9 +190,9 @@ def blast_radius(
     """Expand a component fault into everything it takes out.
 
     Without a cluster the radius degrades to the named component alone
-    (the standalone-device path :class:`repro.nvme.power.PowerController`
-    uses); with one, shared-hardware effects are derived from the spec
-    and its failure-domain partition.
+    (an injector built with no cluster, over devices attached by hand);
+    with one, shared-hardware effects are derived from the spec and its
+    failure-domain partition.
     """
     if cluster is not None and domains is None:
         domains = derive_failure_domains(cluster)

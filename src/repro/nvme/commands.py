@@ -129,10 +129,9 @@ class CommandResult:
     """Completion record returned for a command.
 
     ``command`` is the command this completes, where there is one.  The
-    SSD sets it for FLUSH and IDENTIFY.  A batch read or write from
-    ``SSD.write`` or ``SSD.read`` spans many commands and leaves it
-    ``None``.  ``QueuePair`` sets it, on every completion it posts
-    (failed ones included), to the command that was submitted.
+    SSD sets it for FLUSH and IDENTIFY.  A read or write, from
+    ``SSD.write``, ``SSD.read`` or ``SSD.submit``, is a batch that may
+    span many commands and leaves it ``None``.
     """
 
     command: Optional[Command]

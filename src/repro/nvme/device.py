@@ -74,7 +74,7 @@ from repro.obs.context import tracer_of
 from repro.obs.metrics import Counter
 from repro.sim.engine import Environment, Event
 from repro.sim.fairshare import FairShareServer
-from repro.tiers.base import DeviceModel, TierKind
+from repro.tiers.base import DeviceModel
 
 if TYPE_CHECKING:
     from repro.io.qos import QoSClass
@@ -135,9 +135,11 @@ def intel_p4800x() -> SSDSpec:
 def generic_nand_ssd() -> SSDSpec:
     """A NAND TLC datacenter SSD with a capacitor-backed DRAM write buffer.
 
-    Used by tests exercising the RAM-buffer burst/drain and power-loss
-    capacitance paths that the Optane spec (no RAM) never reaches.
-    Numbers live in ``repro.bench.calibration``'s ``NAND_SSD_*`` block.
+    BurstFS's node-local SSDs use this spec, so the ``sysmatrix`` and
+    ``ext-burstbuffer`` tables depend on it; tests also use it for the
+    RAM-buffer burst/drain and power-loss capacitance paths that the
+    Optane spec (no RAM) never reaches. Numbers live in
+    ``repro.bench.calibration``'s ``NAND_SSD_*`` block.
     """
     return SSDSpec(
         model="Generic NAND DC SSD",
@@ -156,12 +158,10 @@ class SSD(DeviceModel):  # reproflow: ignore[FLOW103] (deliberate: runtime sanit
     """A live simulated SSD attached to a simulation environment.
 
     Implements the tier-neutral :class:`~repro.tiers.base.DeviceModel`
-    surface so the balancer and tier clients can treat the NVMe fleet
-    as one tier among several; the namespace/command paths below remain
-    the byte-accurate primary interface.
+    surface so tier clients can treat the NVMe fleet as one tier among
+    several; the namespace/command paths below remain the byte-accurate
+    primary interface.
     """
-
-    kind = TierKind.NVME_SSD
 
     def __init__(
         self,
@@ -377,7 +377,8 @@ class SSD(DeviceModel):  # reproflow: ignore[FLOW103] (deliberate: runtime sanit
         )
 
     def submit(self, command: Command, rate_cap: Optional[float] = None) -> Event:
-        """Single-command convenience used by the queue-pair layer."""
+        """Run one NVMe command: an LBA-addressed READ or WRITE, a FLUSH
+        or an IDENTIFY. The completion value is a :class:`CommandResult`."""
         nbytes = command.nblocks * self.spec.lba_size
         offset = command.slba * self.spec.lba_size
         if command.opcode is Opcode.WRITE:
@@ -414,13 +415,13 @@ class SSD(DeviceModel):  # reproflow: ignore[FLOW103] (deliberate: runtime sanit
     def read_bandwidth(self) -> float:
         return self.spec.read_bandwidth
 
-    def tier_write(self, offset: int, nbytes: int, qos: Optional[Any] = None) -> Event:
+    def tier_write(self, nbytes: int) -> Event:
         """Tier-seam bulk write: the full service-time core at the
         default hugeblock command size, without extent bookkeeping or
         front-end arbitration. The event's value is ``nbytes``."""
         return _Command(self, True, nbytes, cal.DEFAULT_HUGEBLOCK).done
 
-    def tier_read(self, offset: int, nbytes: int, qos: Optional[Any] = None) -> Event:
+    def tier_read(self, nbytes: int) -> Event:
         return _Command(self, False, nbytes, cal.DEFAULT_HUGEBLOCK).done
 
     def tier_sync(self) -> Event:

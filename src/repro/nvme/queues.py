@@ -1,31 +1,24 @@
-"""Hardware submission/completion queue pairs with polled completion.
+"""Front-end admission for an SSD's hardware queues.
 
-Microfs principle 1 requires a *run-to-completion* pipeline: submit,
-poll, no interrupts, no locks (§III-A). :class:`QueuePair` models one
-hardware SQ/CQ pair: submissions retain order, completions land on the
-CQ as the device finishes them, and ``poll()`` drains ready completions
-without blocking — returning an empty list when nothing is ready, just
-like a real polled driver.
+:class:`WrrArbiter` models NVMe weighted-round-robin arbitration across
+QoS classes: a command takes a service slot before it touches the
+media servers.  ``SSD.arbiter`` is ``None`` by default; the ``qos``
+experiment installs one on each SSD it compares.
 
-In-order completion per queue is guaranteed ("the use of a single IO
-queue per instance guarantees that IO operations are completed in the
-order they are received"): a command's completion is withheld until all
-earlier submissions on the same queue have completed.
+This module is on DetLint's hot-module list: every class declares
+``__slots__``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Generator, Optional, Tuple
 
-from repro.errors import DeviceError, InvalidArgument
+from repro.errors import InvalidArgument
 from repro.io.qos import DEFAULT_WRR_WEIGHTS, QoSClass
-from repro.nvme.commands import Command, CommandResult
-from repro.nvme.device import SSD
-from repro.obs.context import tracer_of
 from repro.sim.engine import Environment, Event
 
-__all__ = ["QueuePair", "WrrArbiter"]
+__all__ = ["WrrArbiter"]
 
 
 class WrrArbiter:
@@ -163,100 +156,3 @@ class WrrArbiter:
         self._credits[best] -= 1
         return best, self._queues[best].popleft()
 
-
-class QueuePair:
-    """One SQ/CQ pair bound to an SSD, with bounded queue depth."""
-
-    __slots__ = ("env", "ssd", "qid", "depth", "_inflight", "_completions")
-
-    #: Completions drain strictly in submission order (_drain_in_order).
-    _san_tiebreak = "fifo"
-
-    def __init__(self, env: Environment, ssd: SSD, depth: int = 128):
-        if depth < 1:
-            raise DeviceError(f"queue depth must be >= 1, got {depth}")
-        self.env = env
-        self.ssd = ssd
-        self.qid = ssd.allocate_queue()
-        self.depth = depth
-        self._inflight: Deque[dict] = deque()  # submission order
-        self._completions: Deque[CommandResult] = deque()
-
-    # -- submission --------------------------------------------------------------
-
-    def submit(self, command: Command, rate_cap: Optional[float] = None) -> None:
-        """Post a command to the SQ. Raises if the queue is full."""
-        if len(self._inflight) >= self.depth:
-            raise DeviceError(f"queue {self.qid} full (depth {self.depth})")
-        monitor = self.env.monitor
-        if monitor is not None:
-            monitor.note_mutation(self, "submit")
-        slot = {"done": False, "result": None, "error": None, "command": command}
-        self._inflight.append(slot)
-        tr = tracer_of(self.env)
-        if tr is not None:
-            # Span covers SQ post -> CQ entry; the device span (which
-            # claims the handoff) nests inside it via the parent link.
-            qspan = tr.begin(f"nvme.qp.{command.opcode.name.lower()}",
-                             cat="device", track=f"{self.ssd.name}.q{self.qid}",
-                             parent=tr.take_handoff(), depth=len(self._inflight))
-            slot["span"] = qspan
-            tr.handoff(qspan)
-        event = self.ssd.submit(command, rate_cap=rate_cap)
-        event.callbacks.append(lambda ev: self._on_device_done(slot, ev))
-
-    def _on_device_done(self, slot: dict, event: Event) -> None:
-        monitor = self.env.monitor
-        if monitor is not None:
-            monitor.note_mutation(self, "complete")
-        slot["done"] = True
-        if event.ok:
-            slot["result"] = event.value
-        else:
-            slot["error"] = event._exc
-        span = slot.get("span")
-        if span is not None:
-            tr = tracer_of(self.env)
-            if tr is not None:
-                tr.end(span)
-        self._drain_in_order()
-
-    def _drain_in_order(self) -> None:
-        """Move completions to the CQ strictly in submission order."""
-        while self._inflight and self._inflight[0]["done"]:
-            slot = self._inflight.popleft()
-            if slot["error"] is not None:
-                # Errors surface on poll as failed results.
-                result = CommandResult(
-                    command=slot["command"], latency=0.0,
-                    extra={"error": slot["error"]},
-                )
-            else:
-                result = slot["result"]
-                result.command = slot["command"]
-            self._completions.append(result)
-
-    # -- polling ------------------------------------------------------------------
-
-    def poll(self) -> List[CommandResult]:
-        """Drain currently-ready completions (non-blocking)."""
-        out = list(self._completions)
-        self._completions.clear()
-        return out
-
-    def outstanding(self) -> int:
-        return len(self._inflight)
-
-    def wait_all(self) -> Generator[Event, Any, List[CommandResult]]:
-        """Poll-spin until every outstanding command completes.
-
-        A sub-generator for simulation processes; the poll interval is a
-        fixed 1 us — the cost model of busy polling, not a sleep.
-        """
-        results: List[CommandResult] = []
-        results.extend(self.poll())
-        while self._inflight:
-            yield self.env.timeout(1e-6)
-            results.extend(self.poll())
-        results.extend(self.poll())
-        return results

@@ -128,8 +128,8 @@ class EngineTelemetry:
 class Interrupt(Exception):
     """Thrown into a process that another process interrupted.
 
-    ``cause`` carries whatever the interrupter supplied (e.g. a power-loss
-    notification from :mod:`repro.nvme.power`).
+    ``cause`` carries whatever the interrupter supplied (e.g. the
+    recovery orchestrator's ``"fault injected"``).
     """
 
     __slots__ = ("cause",)

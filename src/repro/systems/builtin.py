@@ -130,7 +130,7 @@ def _build_nvmecr_raft(
 
 @register(
     "nvmecr-tiered", title="NVMe-CR (tiered)", short="nvmecr-t", kind="runtime",
-    description="NVMe-CR plus calibrated NVM/CXL fast tiers and cost-model placement",
+    description="NVMe-CR plus a calibrated NVM fast tier and cost-model placement",
 )
 def _build_nvmecr_tiered(
     *,
@@ -142,32 +142,19 @@ def _build_nvmecr_tiered(
     global_namespace: Any = None,
     job_name: str = "job",
     deployment: Any = None,
-    fast_tier: str = "nvm",
 ) -> SystemHandle:
-    """The nvmecr runtime with extra byte-addressable fast tiers.
+    """The nvmecr runtime with a byte-addressable fast tier.
 
-    A calibrated NVM module (and a CXL-SSD when ``fast_tier="cxl"``)
-    joins the job's storage inventory through the balancer; the run
-    config requests cost-model checkpoint placement.  The NVMe data
-    plane is byte-for-byte the nvmecr builder's — the tier devices only
-    add capacity above it.  ``extras`` carries the devices and the
-    :class:`~repro.tiers.client.TierSet` inventory.
+    A calibrated NVM module sits above the job's NVMe storage, and the
+    run config requests cost-model checkpoint placement.  The NVMe data
+    plane is byte-for-byte the nvmecr builder's — the NVM module only
+    adds a tier above it.  ``extras["fast_device"]`` is the module.
     """
     from repro.apps.deployment import Deployment
-    from repro.tiers import CXLSSDDevice, NVMDevice, TierSet
-
-    if fast_tier not in ("nvm", "cxl"):
-        raise ValueError(f"fast_tier must be 'nvm' or 'cxl', got {fast_tier!r}")
+    from repro.tiers import NVMDevice
 
     dep = deployment if deployment is not None else Deployment(seed=seed)
-    tiers = TierSet("job-tiers")
-    fast: Any
-    if fast_tier == "nvm":
-        fast = NVMDevice(dep.env, name="nvm0")
-    else:
-        fast = CXLSSDDevice(dep.env, name="cxl0")
-    tiers.add(fast)
-    dep.balancer.attach_tier_device(fast)
+    fast = NVMDevice(dep.env, name="nvm0")
     job, plan = dep.submit(
         job_name, nprocs=nprocs, devices=devices or 8,
         bytes_per_device=bytes_per_device,
@@ -187,7 +174,7 @@ def _build_nvmecr_tiered(
         env=dep.env, deployment=dep, _run_ranks=run_ranks,
         extras={
             "job": job, "plan": plan, "config": run_config,
-            "tiers": tiers, "fast_device": fast,
+            "fast_device": fast,
         },
     )
 

@@ -1,25 +1,23 @@
-"""Pluggable calibrated storage tiers behind one device-model seam.
+"""Calibrated storage tiers behind one device-model seam.
 
-Every persistence target the runtime can place a checkpoint on — the
-NVMe SSD fleet, byte-addressable NVM, a CXL-SSD, the PFS — implements
-the :class:`~repro.tiers.base.DeviceModel` surface, so the balancer,
-the data plane, and the placement policies reason about heterogeneous
-tiers uniformly. Calibration constants live in
+The NVMe SSD and the byte-addressable NVM module implement the
+:class:`~repro.tiers.base.DeviceModel` surface, and
+:class:`~repro.tiers.client.TierClient` gives either one the
+``write_file``/``read_file`` checkpoint surface that the PFS and the
+intercepted-POSIX shim (:class:`~repro.tiers.client.PosixTierAdapter`)
+also offer, so the multi-level checkpointer and the placement policies
+drive every tier alike. Calibration constants live in
 :mod:`repro.bench.calibration`; nothing in this package hard-codes a
 performance number.
 """
 
-from repro.tiers.base import DeviceModel, TierKind
-from repro.tiers.client import PosixTierAdapter, TierClient, TierSet
-from repro.tiers.cxl import CXLSSDDevice
+from repro.tiers.base import DeviceModel
+from repro.tiers.client import PosixTierAdapter, TierClient
 from repro.tiers.nvm import NVMDevice
 
 __all__ = [
-    "CXLSSDDevice",
     "DeviceModel",
     "NVMDevice",
     "PosixTierAdapter",
     "TierClient",
-    "TierKind",
-    "TierSet",
 ]

@@ -1,8 +1,7 @@
 """The tier-neutral device seam.
 
-:class:`DeviceModel` is the contract every storage tier implements: a
-capacity/bandwidth inventory surface (what the balancer sums per tier)
-plus timed bulk transfers (what tier clients and placement policies
+:class:`DeviceModel` is the contract every storage tier implements: its
+capacity and bandwidths plus timed bulk transfers (what tier clients
 drive). It deliberately models *service time*, not data contents —
 the NVMe extent store keeps doing byte-accurate bookkeeping on its own
 paths; a tier transfer answers only "when does this many bytes land".
@@ -13,9 +12,7 @@ Implementations:
   service-time core (fair-share media + command-rate servers, QD-1
   access-latency cap, arbitration jitter) this seam was extracted from;
 * :class:`repro.tiers.nvm.NVMDevice` — byte-addressable NVM (JASS-style
-  load/store latency, no command or queue overhead);
-* :class:`repro.tiers.cxl.CXLSSDDevice` — a CXL-SSD (OpenCXD-style
-  load/store window + device-side cache hit/miss model).
+  load/store latency, no command or queue overhead).
 
 This module is on DetLint's hot-module list: every class declares
 ``__slots__``.
@@ -23,48 +20,21 @@ This module is on DetLint's hot-module list: every class declares
 
 from __future__ import annotations
 
-import enum
-from typing import Optional
-
 from repro.sim.engine import Event
 
-__all__ = ["DeviceModel", "TierKind"]
-
-
-class TierKind(enum.Enum):
-    """The device classes a checkpoint can land on."""
-
-    __slots__ = ()
-
-    NVM = "nvm"
-    NVME_SSD = "nvme-ssd"
-    CXL_SSD = "cxl-ssd"
-    PFS = "pfs"
+__all__ = ["DeviceModel"]
 
 
 class DeviceModel:
-    """Abstract tier surface: inventory + timed transfers.
+    """Abstract tier surface: capacity, bandwidths, timed transfers.
 
     Stateless base (``__slots__ = ()``): concrete tiers own their
-    attributes. ``kind`` is a class attribute naming the tier class;
-    instances expose it as :attr:`tier_name` for accounting keys.
+    attributes.
     """
 
     __slots__ = ()
 
-    kind: TierKind = TierKind.NVME_SSD
-
-    # -- identity / inventory -------------------------------------------------
-
-    @property
-    def tier_name(self) -> str:
-        """Stable accounting key, e.g. ``"nvm"`` or ``"nvme-ssd"``."""
-        return self.kind.value
-
     def capacity_bytes(self) -> int:
-        raise NotImplementedError
-
-    def free_bytes(self) -> int:
         raise NotImplementedError
 
     def write_bandwidth(self) -> float:
@@ -74,18 +44,12 @@ class DeviceModel:
     def read_bandwidth(self) -> float:
         raise NotImplementedError
 
-    # -- timed transfers ------------------------------------------------------
-
-    def tier_write(
-        self, offset: int, nbytes: int, qos: Optional[object] = None
-    ) -> Event:
-        """Persist ``nbytes`` at ``offset``; completion event fires when
-        the data is durable under the tier's own service model."""
+    def tier_write(self, nbytes: int) -> Event:
+        """Persist ``nbytes``; the completion event fires when the data
+        is durable under the tier's own service model."""
         raise NotImplementedError
 
-    def tier_read(
-        self, offset: int, nbytes: int, qos: Optional[object] = None
-    ) -> Event:
+    def tier_read(self, nbytes: int) -> Event:
         raise NotImplementedError
 
     def tier_sync(self) -> Event:

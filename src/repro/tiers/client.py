@@ -4,9 +4,8 @@
 tier beyond the intercepted-POSIX level through the same two-method
 surface :class:`repro.baselines.lustre.LustreCluster` established.
 This module provides that surface over any :class:`DeviceModel`
-(:class:`TierClient`), over an intercepted-POSIX shim
-(:class:`PosixTierAdapter`), and a :class:`TierSet` describing a whole
-tier hierarchy for the systems registry and the balancer inventory.
+(:class:`TierClient`) and over an intercepted-POSIX shim
+(:class:`PosixTierAdapter`).
 
 This module is on DetLint's hot-module list: every class declares
 ``__slots__``.
@@ -14,58 +13,52 @@ This module is on DetLint's hot-module list: every class declares
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator
 
 from repro.errors import FileNotFound, OutOfSpace
 from repro.sim.engine import Event
 from repro.tiers.base import DeviceModel
 
-__all__ = ["PosixTierAdapter", "TierClient", "TierSet"]
+__all__ = ["PosixTierAdapter", "TierClient"]
 
 
 class TierClient:
     """File-shaped checkpoint I/O over one tier device.
 
-    A bump allocator maps paths onto device regions (checkpoint files
-    are written whole and re-read whole; there is no partial rewrite),
-    so the device's cache/locality model sees stable addresses.
+    Checkpoint files are written whole and re-read whole, so the client
+    keeps each path's size and counts the bytes it has placed against
+    the device's capacity; rewriting a file with no more bytes than it
+    last held takes no new space.
     """
 
-    __slots__ = ("device", "name", "files", "_cursor")
+    __slots__ = ("device", "name", "files", "_used")
 
     def __init__(self, device: DeviceModel, name: str = "tier"):
         self.device = device
         self.name = name
-        self.files: Dict[str, Tuple[int, int]] = {}
-        self._cursor = 0
+        self.files: Dict[str, int] = {}
+        self._used = 0
 
     @property
     def env(self):
         return self.device.env
 
-    def _alloc(self, path: str, nbytes: int) -> int:
-        existing = self.files.get(path)
-        if existing is not None and existing[1] >= nbytes:
-            return existing[0]
-        if self._cursor + nbytes > self.device.capacity_bytes():
-            raise OutOfSpace(
-                f"{self.name}: {nbytes} bytes of checkpoint exceed tier capacity"
-            )
-        offset = self._cursor
-        self._cursor += nbytes
-        return offset
-
     def write_file(self, path: str, nbytes: int) -> Generator[Event, Any, None]:
-        offset = self._alloc(path, nbytes)
-        yield self.device.tier_write(offset, nbytes)
-        self.files[path] = (offset, nbytes)
+        size = self.files.get(path)
+        if size is None or size < nbytes:
+            if self._used + nbytes > self.device.capacity_bytes():
+                raise OutOfSpace(
+                    f"{self.name}: {nbytes} bytes of checkpoint exceed tier capacity"
+                )
+            self._used += nbytes
+        yield self.device.tier_write(nbytes)
+        self.files[path] = nbytes
 
     def read_file(self, path: str) -> Generator[Event, Any, int]:
-        entry = self.files.get(path)
-        if entry is None:
+        nbytes = self.files.get(path)
+        if nbytes is None:
             raise FileNotFound(path)
-        offset, nbytes = entry
-        yield self.device.tier_read(offset, nbytes)
+        yield self.device.tier_read(nbytes)
         return nbytes
 
     def lose_data(self) -> None:
@@ -122,38 +115,3 @@ class PosixTierAdapter:
     def lose_data(self) -> None:
         self.files.clear()
 
-
-class TierSet:
-    """An ordered tier hierarchy (fastest first) for one system.
-
-    Carried in a system handle's ``extras["tiers"]`` — experiments
-    append per-rank tiers (the runtime shim, the PFS) and hand the
-    result to the checkpointer; the balancer sums :meth:`inventory`.
-    """
-
-    __slots__ = ("name", "devices")
-
-    def __init__(self, name: str, devices: Optional[List[DeviceModel]] = None):
-        self.name = name
-        self.devices: List[DeviceModel] = list(devices or [])
-
-    def add(self, device: DeviceModel) -> None:
-        self.devices.append(device)
-
-    def inventory(self) -> Dict[str, Dict[str, float]]:
-        """Per-tier capacity and bandwidth totals."""
-        out: Dict[str, Dict[str, float]] = {}
-        for dev in self.devices:
-            row = out.setdefault(dev.tier_name, {
-                "devices": 0,
-                "capacity_bytes": 0,
-                "free_bytes": 0,
-                "write_bandwidth": 0.0,
-                "read_bandwidth": 0.0,
-            })
-            row["devices"] += 1
-            row["capacity_bytes"] += dev.capacity_bytes()
-            row["free_bytes"] += dev.free_bytes()
-            row["write_bandwidth"] += dev.write_bandwidth()
-            row["read_bandwidth"] += dev.read_bandwidth()
-        return out

@@ -17,11 +17,10 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.bench import calibration as cal
-from repro.errors import OutOfSpace
 from repro.obs.metrics import Counter
 from repro.sim.engine import Environment, Event
 from repro.sim.fairshare import FairShareServer
-from repro.tiers.base import DeviceModel, TierKind
+from repro.tiers.base import DeviceModel
 
 __all__ = ["NVMDevice"]
 
@@ -33,13 +32,10 @@ class NVMDevice(DeviceModel):  # reproflow: ignore[FLOW103] (runtime sanitizer w
         "env",
         "name",
         "_capacity",
-        "_reserved",
         "_write_server",
         "_read_server",
         "counters",
     )
-
-    kind = TierKind.NVM
 
     def __init__(
         self,
@@ -52,7 +48,6 @@ class NVMDevice(DeviceModel):  # reproflow: ignore[FLOW103] (runtime sanitizer w
         self._capacity = (
             cal.NVM_CAPACITY_BYTES if capacity_bytes is None else capacity_bytes
         )
-        self._reserved = 0
         self._write_server = FairShareServer(
             env, capacity=cal.NVM_WRITE_BANDWIDTH, name=f"{name}.store"
         )
@@ -61,13 +56,8 @@ class NVMDevice(DeviceModel):  # reproflow: ignore[FLOW103] (runtime sanitizer w
         )
         self.counters = Counter()
 
-    # -- inventory ------------------------------------------------------------
-
     def capacity_bytes(self) -> int:
         return self._capacity
-
-    def free_bytes(self) -> int:
-        return self._capacity - self._reserved
 
     def write_bandwidth(self) -> float:
         return cal.NVM_WRITE_BANDWIDTH
@@ -75,22 +65,9 @@ class NVMDevice(DeviceModel):  # reproflow: ignore[FLOW103] (runtime sanitizer w
     def read_bandwidth(self) -> float:
         return cal.NVM_READ_BANDWIDTH
 
-    def reserve(self, nbytes: int) -> None:
-        """Account a region allocation (tier clients call this)."""
-        if nbytes > self.free_bytes():
-            raise OutOfSpace(
-                f"{self.name}: need {nbytes} bytes, only {self.free_bytes()} free"
-            )
-        self._reserved += nbytes
-
-    def release(self, nbytes: int) -> None:
-        self._reserved = max(0, self._reserved - nbytes)
-
     # -- timed transfers ------------------------------------------------------
 
-    def tier_write(
-        self, offset: int, nbytes: int, qos: Optional[object] = None
-    ) -> Event:
+    def tier_write(self, nbytes: int) -> Event:
         return self.env.process(self._store(nbytes))
 
     def _store(self, nbytes: int) -> Generator[Event, Any, int]:
@@ -103,9 +80,7 @@ class NVMDevice(DeviceModel):  # reproflow: ignore[FLOW103] (runtime sanitizer w
         self.counters.add("bytes_written", nbytes)
         return nbytes
 
-    def tier_read(
-        self, offset: int, nbytes: int, qos: Optional[object] = None
-    ) -> Event:
+    def tier_read(self, nbytes: int) -> Event:
         return self.env.process(self._load(nbytes))
 
     def _load(self, nbytes: int) -> Generator[Event, Any, int]:

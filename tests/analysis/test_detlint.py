@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.detlint import RULES, lint_file, lint_index, main
 from repro.analysis.flow.config import AnalysisConfig, load_config
 
@@ -123,6 +125,24 @@ def test_executor_allowlist_covers_worker_entry_points():
     allowed = lint_file(Path("src/repro/exec/executors.py"), config,
                         source=source)
     assert allowed == []
+
+
+# -- the config ---------------------------------------------------------------
+
+
+def test_pyproject_repeats_the_built_in_config():
+    """``[tool.detlint]`` and ``[tool.reproflow]`` repeat the defaults,
+    so a path changed in one copy and not the other fails here."""
+    pytest.importorskip("tomllib")
+    assert load_config(root=_REPO) == AnalysisConfig()
+
+
+def test_configured_paths_name_files_under_src():
+    for config in (AnalysisConfig(), load_config(root=_REPO)):
+        paths = list(config.hot_modules)
+        paths += [path for paths_ in config.allow.values() for path in paths_]
+        missing = [path for path in paths if not (_REPO / "src" / path).is_file()]
+        assert missing == []
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Injector determinism, physical effects, and the hypothesis property:
 identical seeds produce identical fault timelines."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,10 @@ from repro.faults.model import (
     NVMfTargetDeath,
     SSDPowerLoss,
 )
+from repro.nvme import SSD
+from repro.sim import Environment
+
+from tests.conftest import deterministic_spec
 
 
 def small_deployment(seed=0):
@@ -72,12 +77,38 @@ def test_injection_cuts_ssd_power_and_repair_restores():
     inj = FaultInjector.for_deployment(dep, seed=1)
     inj.at(1.0, SSDPowerLoss("stor00"), repair_after=2.0)
     inj.start()
-    dep.env.run()
     ssd = dep.ssds["stor00"]
+    powered_mid_fault = []
+
+    def probe():
+        yield dep.env.timeout(2.0)
+        powered_mid_fault.append(ssd.powered)
+
+    dep.env.process(probe())
+    dep.env.run()
+    assert powered_mid_fault == [False]
     assert ssd.powered  # repaired by the end
+    assert ssd.counters.get("power_failures") == 1
     rec = inj.timeline.records[0]
     assert rec.injected_at == pytest.approx(1.0)
     assert rec.repaired_at == pytest.approx(3.0)
+
+
+def test_power_loss_without_repair_leaves_a_hand_attached_ssd_off():
+    """With no cluster, an SSD attached by hand is the whole blast radius
+    of a power loss on its node name, and no repair means it stays off."""
+    env = Environment()
+    ssd = SSD(env, deterministic_spec(), "s0", rng=np.random.default_rng(0))
+    inj = FaultInjector(env)
+    inj.attach_ssd("s0", ssd)
+    inj.at(0.5, SSDPowerLoss("s0"))
+    inj.start()
+    env.run()
+    assert not ssd.powered
+    assert ssd.counters.get("power_failures") == 1
+    (rec,) = inj.timeline.records
+    assert rec.injected_at == pytest.approx(0.5)
+    assert rec.repaired_at is None
 
 
 def test_target_death_breaks_sessions_and_blocks_connects():

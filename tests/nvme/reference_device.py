@@ -199,7 +199,7 @@ class ReferenceSSD(SSD):
         yield self.env.all_of([media_ev, cmd_ev])
         self._check_power(epoch)
 
-    def tier_write(self, offset: int, nbytes: int, qos: Optional[Any] = None) -> Event:
+    def tier_write(self, nbytes: int) -> Event:
         return self.env.process(self._tier_write(nbytes))
 
     def _tier_write(self, nbytes: int) -> Generator[Event, Any, int]:
@@ -210,7 +210,7 @@ class ReferenceSSD(SSD):
         self.counters.add("tier_bytes_written", nbytes)
         return nbytes
 
-    def tier_read(self, offset: int, nbytes: int, qos: Optional[Any] = None) -> Event:
+    def tier_read(self, nbytes: int) -> Event:
         return self.env.process(self._tier_read(nbytes))
 
     def _tier_read(self, nbytes: int) -> Generator[Event, Any, int]:

@@ -136,7 +136,7 @@ def run(ssd_cls, scenario, arbiter=None):
                     event = ssd.read(ns.nsid, offset, nbytes, command_size,
                                      rate_cap=cap, qos=qos)
                 else:
-                    event = getattr(ssd, kind)(offset, nbytes, qos=qos)
+                    event = getattr(ssd, kind)(nbytes)
                 value = yield event
             except DevicePoweredOff:
                 outcomes.append((i, k, env.now, "powered off"))

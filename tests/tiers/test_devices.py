@@ -5,16 +5,8 @@ import pytest
 from repro.bench import calibration as cal
 from repro.errors import FileNotFound, OutOfSpace
 from repro.sim.engine import Environment
-from repro.tiers import (
-    CXLSSDDevice,
-    DeviceModel,
-    NVMDevice,
-    PosixTierAdapter,
-    TierClient,
-    TierKind,
-    TierSet,
-)
-from repro.units import KiB, MiB
+from repro.tiers import DeviceModel, NVMDevice, PosixTierAdapter, TierClient
+from repro.units import MiB
 
 
 def run(env, gen):
@@ -26,11 +18,13 @@ def run(env, gen):
 
 def test_device_model_interface_is_abstract():
     dev = DeviceModel()
-    for method in ("capacity_bytes", "free_bytes", "write_bandwidth",
-                   "read_bandwidth", "tier_sync"):
+    for method in ("capacity_bytes", "write_bandwidth", "read_bandwidth",
+                   "tier_sync"):
         with pytest.raises(NotImplementedError):
             getattr(dev, method)()
-    assert dev.tier_name == TierKind.NVME_SSD.value
+    for method in ("tier_write", "tier_read"):
+        with pytest.raises(NotImplementedError):
+            getattr(dev, method)(MiB(1))
 
 
 def test_ssd_implements_device_model():
@@ -41,14 +35,13 @@ def test_ssd_implements_device_model():
     env = Environment()
     ssd = SSD(env, intel_p4800x(), "nvme0", rng=np.random.default_rng(0))
     assert isinstance(ssd, DeviceModel)
-    assert ssd.tier_name == "nvme-ssd"
     assert ssd.capacity_bytes() == cal.P4800X_CAPACITY_BYTES
     assert ssd.write_bandwidth() == cal.P4800X_WRITE_BANDWIDTH
     assert ssd.read_bandwidth() == cal.P4800X_READ_BANDWIDTH
 
     def scenario():
-        yield ssd.tier_write(0, MiB(4))
-        yield ssd.tier_read(0, MiB(4))
+        yield ssd.tier_write(MiB(4))
+        yield ssd.tier_read(MiB(4))
         yield ssd.tier_sync()
         return env.now
 
@@ -64,12 +57,11 @@ def test_ssd_implements_device_model():
 def test_nvm_write_pays_latency_persist_and_bandwidth():
     env = Environment()
     nvm = NVMDevice(env)
-    assert nvm.tier_name == "nvm"
     assert nvm.capacity_bytes() == cal.NVM_CAPACITY_BYTES
 
     def scenario():
         t0 = env.now
-        yield nvm.tier_write(0, MiB(64))
+        yield nvm.tier_write(MiB(64))
         return env.now - t0
 
     elapsed = run(env, scenario())
@@ -93,73 +85,9 @@ def test_nvm_read_is_faster_than_write():
             return env.now - t0
         return run(env, scenario())
 
-    write = timed(lambda: nvm.tier_write(0, MiB(16)))
-    read = timed(lambda: nvm.tier_read(0, MiB(16)))
+    write = timed(lambda: nvm.tier_write(MiB(16)))
+    read = timed(lambda: nvm.tier_read(MiB(16)))
     assert read < write  # 6.6 vs 2.3 GB/s, no persist barrier
-
-
-def test_nvm_reserve_release():
-    env = Environment()
-    nvm = NVMDevice(env, capacity_bytes=MiB(8))
-    nvm.reserve(MiB(6))
-    assert nvm.free_bytes() == MiB(2)
-    with pytest.raises(OutOfSpace):
-        nvm.reserve(MiB(4))
-    nvm.release(MiB(6))
-    assert nvm.free_bytes() == MiB(8)
-
-
-# -- CXL-SSD ----------------------------------------------------------------
-
-
-def test_cxl_read_hit_vs_miss():
-    """A re-read of just-written lines hits the device cache and runs at
-    link speed; a cold read pays the flash miss path."""
-    env = Environment()
-    cxl = CXLSSDDevice(env)
-
-    def timed(ev):
-        def scenario():
-            t0 = env.now
-            yield ev()
-            return env.now - t0
-        return run(env, scenario())
-
-    timed(lambda: cxl.tier_write(0, MiB(4)))
-    hot = timed(lambda: cxl.tier_read(0, MiB(4)))
-    cold = timed(lambda: cxl.tier_read(cal.CXL_CACHE_BYTES + MiB(64), MiB(4)))
-    assert hot < cold
-    assert cxl.counters.get("cache_hits") > 0
-    assert cxl.counters.get("cache_misses") > 0
-
-
-def test_cxl_cache_eviction_is_lru():
-    env = Environment()
-    cxl = CXLSSDDevice(env, cache_bytes=KiB(16))  # 4 lines of 4 KiB
-
-    def scenario():
-        yield cxl.tier_write(0, KiB(16))        # lines 0..3 resident
-        yield cxl.tier_read(0, KiB(4))          # touch line 0 (MRU)
-        yield cxl.tier_write(KiB(16), KiB(8))   # evicts lines 1, 2
-        return None
-
-    run(env, scenario())
-    assert cxl.cache_residency(0, KiB(4)) == 1.0
-    assert cxl.cache_residency(KiB(4), KiB(8)) == 0.0
-
-
-def test_cxl_sync_drains_write_backlog():
-    env = Environment()
-    cxl = CXLSSDDevice(env)
-
-    def scenario():
-        yield cxl.tier_write(0, MiB(32))
-        t0 = env.now
-        yield cxl.tier_sync()
-        return env.now - t0
-
-    drain = run(env, scenario())
-    assert drain >= cal.CXL_LINK_LATENCY
 
 
 # -- clients ----------------------------------------------------------------
@@ -195,6 +123,29 @@ def test_tier_client_capacity_check():
         run(env, scenario())
 
 
+def test_tier_client_rewrite_takes_no_new_space():
+    """A file rewritten with no more bytes than it held reuses its space;
+    a larger rewrite and a new file take more, up to the capacity."""
+    env = Environment()
+    client = TierClient(NVMDevice(env, capacity_bytes=MiB(5)))
+
+    def write(path, nbytes):
+        def scenario():
+            yield from client.write_file(path, nbytes)
+        run(env, scenario())
+
+    write("/ckpt/a", MiB(2))
+    write("/ckpt/a", MiB(2))
+    write("/ckpt/a", MiB(1))
+    write("/ckpt/b", MiB(2))
+    assert client.files == {"/ckpt/a": MiB(1), "/ckpt/b": MiB(2)}
+    with pytest.raises(OutOfSpace):
+        write("/ckpt/a", MiB(2))  # grows past its last size: 2 + 2 + 2 > 5
+    write("/ckpt/c", MiB(1))
+    with pytest.raises(OutOfSpace):
+        write("/ckpt/d", 1)
+
+
 def test_posix_adapter_over_microfs():
     from repro.bench.fleet import MicroFSFleet
 
@@ -209,32 +160,3 @@ def test_posix_adapter_over_microfs():
     assert fleet.env.run_until_complete(
         fleet.env.process(scenario())) == MiB(1)
 
-
-def test_tier_set_inventory():
-    import numpy as np
-
-    from repro.nvme.device import SSD, intel_p4800x
-
-    env = Environment()
-    tiers = TierSet("t")
-    tiers.add(NVMDevice(env))
-    tiers.add(CXLSSDDevice(env))
-    tiers.add(SSD(env, intel_p4800x(), "nvme0", rng=np.random.default_rng(0)))
-    inv = tiers.inventory()
-    assert set(inv) == {"nvm", "cxl-ssd", "nvme-ssd"}
-    assert inv["nvm"]["capacity_bytes"] == cal.NVM_CAPACITY_BYTES
-    assert inv["cxl-ssd"]["write_bandwidth"] == cal.CXL_FLASH_WRITE_BANDWIDTH
-
-
-def test_balancer_plan_tier_inventory():
-    """The balancer folds attached tier devices into every plan."""
-    from repro.apps.deployment import Deployment
-
-    dep = Deployment(seed=3)
-    nvm = NVMDevice(dep.env)
-    dep.balancer.attach_tier_device(nvm)
-    job, plan = dep.submit("inv", nprocs=2, devices=2)
-    inv = plan.tier_inventory()
-    assert inv["nvm"]["devices"] == 1
-    assert inv["nvme-ssd"]["devices"] == 2
-    assert inv["nvme-ssd"]["write_bandwidth"] == 2 * cal.P4800X_WRITE_BANDWIDTH
