@@ -27,24 +27,36 @@ interpreter work around them:
 - Water-filling visits flows in ascending *limit* (the cap, or ``inf``
   when uncapped) with a stable sort, so equal limits keep arrival
   order; each flow takes ``min(limit, remaining capacity / flows
-  left)``. The server counts its flows per limit, and those whose limit
-  is below capacity. While every flow shares one limit and none is
-  below capacity, no cap can bind (each share is at most the capacity
-  left, which is at most the limit): the rates are the plain equal-share
-  sequence, which depends only on the flow count. The first re-rate at
-  a count water-fills and memoizes the rates as a tuple; later ones at
-  that count take the tuple and the next-completion horizon as the
-  minimum of ``remaining / rate``. Otherwise the server sorts (skipped
-  while one limit is present: a stable sort of equal keys is the
-  identity), water-fills and writes each rate at its flow's position,
-  finding the horizon in the same loop.
+  left)``. The server counts its flows per limit. While every flow
+  shares one limit, the rates depend only on that limit and the flow
+  count, and a limit at or above capacity never binds (each share is at
+  most the capacity left, which is at most the limit), so it gives the
+  same rates as ``inf``. The rates are memoized per (flow count, the
+  shared limit, or ``inf`` when it is at or above capacity): the first
+  re-rate at a key water-fills and stores the rates as a tuple; later
+  ones take the tuple and the next-completion horizon as the minimum of
+  ``remaining / rate``. With two or more limits the server sorts,
+  water-fills and writes each rate at its flow's position, finding the
+  horizon in the same loop (a single limit skips the sort: a stable
+  sort of equal keys is the identity).
+- A flow finishes when its remaining bytes are at most ``_EPSILON_BYTES``
+  or its remaining service time, ``remaining / rate``, is at most a
+  picosecond. No rate exceeds the capacity (a share is at most the
+  capacity left, which is at most the capacity), so the second test can
+  pass only if ``remaining`` is at most ``capacity * 1e-12``, give or
+  take the division's rounding, which the factor ``1 + 1e-9`` covers.
+  Each server holds that constant bound,
+  ``max(_EPSILON_BYTES, capacity * 1e-12 * (1 + 1e-9))``, and the wake
+  tests it first: a flow above it cannot finish and skips the division.
 - ``bytes_served`` is the one accumulator, a left-to-right sum over the
   flows in dict order. Busy capacity-time equals it, so
   :meth:`FairShareServer.utilisation` reads it.
 - Each re-rate cancels the previous wake ``Timeout`` before it
   schedules the next one, so only the latest wake is ever dispatched.
   A cancelled wake keeps its heap entry until its time comes, so every
-  other event keeps its sequence number and its order.
+  other event keeps its sequence number and its order. A dispatched
+  wake is forgotten as it starts, so the next re-rate has nothing to
+  cancel.
 
 A flow finishes by calling its completion function with its elapsed
 seconds (:meth:`FairShareServer.start`), so a caller such as a device
@@ -112,14 +124,17 @@ class FairShareServer:
         self._rates: Sequence[float] = ()
         #: In-flight flows per distinct limit.
         self._limits: Dict[float, int] = {}
-        #: In-flight flows whose limit is below capacity.
-        self._capped = 0
-        #: Flow count -> rates, while no cap can bind (see the module doc).
-        self._shares: Dict[int, Tuple[float, ...]] = {}
+        #: (flow count, the one shared limit) -> rates (see the module doc).
+        self._shares: Dict[Tuple[int, float], Tuple[float, ...]] = {}
+        #: No flow above this many bytes can pass the finish test.
+        self._finish_bound = max(_EPSILON_BYTES,
+                                 self.capacity * 1e-12 * (1 + 1e-9))
         self._ids = itertools.count()
         self._last_update = env.now
         #: The pending wake, cancelled by the next re-rate.
         self._wake: Optional[Timeout] = None
+        #: ``_on_wake``, bound once for every wake.
+        self._wake_callback = self._on_wake
         # Accounting.
         self.bytes_served = 0.0
 
@@ -155,8 +170,6 @@ class FairShareServer:
         limit = flow.limit
         limits = self._limits
         limits[limit] = limits.get(limit, 0) + 1
-        if limit < self.capacity:
-            self._capped += 1
         self._rerate_and_schedule()
 
     def transfer(self, nbytes: float, cap: Optional[float] = None) -> Event:
@@ -198,14 +211,16 @@ class FairShareServer:
         telemetry = self.env.telemetry
         if telemetry is not None:
             telemetry.fairshare_recomputes += 1
-        if self._capped or len(self._limits) > 1:
+        limits = self._limits
+        if len(limits) > 1:
             horizon = self._water_fill()
         else:
-            count = len(flows)
-            rates = self._shares.get(count)
-            if rates is None:  # the first re-rate at this count fills the memo
+            (limit,) = limits
+            key = (len(flows), limit if limit < self.capacity else math.inf)
+            rates = self._shares.get(key)
+            if rates is None:  # the first re-rate at this key fills the memo
                 horizon = self._water_fill()
-                self._shares[count] = tuple(self._rates)
+                self._shares[key] = tuple(self._rates)
             else:
                 self._rates = rates
                 horizon = min(map(truediv, map(_REMAINING, flows.values()), rates))
@@ -215,7 +230,7 @@ class FairShareServer:
         # with remaining ~ -1e-16 (fp dust), which would make the horizon
         # negative and the timeout below illegal — clamp to "fire now".
         wake = self._wake = Timeout(self.env, max(0.0, horizon))
-        wake.callbacks.append(self._on_wake)
+        wake.callbacks.append(self._wake_callback)
 
     def _water_fill(self) -> float:
         """Progressive filling: capped flows that can't use a full fair
@@ -245,11 +260,13 @@ class FairShareServer:
         return horizon
 
     def _on_wake(self, wake: Event) -> None:
+        self._wake = None  # dispatched: nothing left to cancel
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
         flows = self._flows
         rates = self._rates
+        bound = self._finish_bound
         # Remaining service time below a picosecond is numeric dust.
         finished: List[Flow] = []
         if dt > 0:
@@ -259,16 +276,18 @@ class FairShareServer:
                 remaining = flow.remaining - moved
                 flow.remaining = remaining
                 served += moved
-                if remaining <= _EPSILON_BYTES or (
-                    rate > 0 and remaining / rate <= 1e-12
+                if remaining <= bound and (
+                    remaining <= _EPSILON_BYTES
+                    or (rate > 0 and remaining / rate <= 1e-12)
                 ):
                     finished.append(flow)
             self.bytes_served = served
         else:
             finished = [
                 flow for flow, rate in zip(flows.values(), rates)
-                if flow.remaining <= _EPSILON_BYTES or (
-                    rate > 0 and flow.remaining / rate <= 1e-12)
+                if flow.remaining <= bound and (
+                    flow.remaining <= _EPSILON_BYTES
+                    or (rate > 0 and flow.remaining / rate <= 1e-12))
             ]
         if not finished:
             # Floating-point guard: when every remaining service time is
@@ -293,8 +312,6 @@ class FairShareServer:
                 limits[limit] = held
             else:
                 del limits[limit]
-            if limit < self.capacity:
-                self._capped -= 1
         for flow in finished:
             flow.done(now - flow.started_at)
         if flows:
