@@ -25,6 +25,7 @@ election timeout.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.bench.harness import ResultTable
@@ -49,6 +50,23 @@ def _build(name: str, seed: int) -> Any:
     if name == "nvmecr-raft":
         kwargs.update(replicas=3, zones=2)
     return build_system(name, **kwargs)
+
+
+def _recoveries(
+    fault_times: Sequence[float], ack_times: Sequence[float]
+) -> List[float]:
+    """Time from each strike to the first ack strictly after it.
+
+    ``ack_times`` is in time order (the client appends ``env.now``), so
+    the first later ack sits at ``bisect_right``.  A strike with no
+    later ack records no recovery.
+    """
+    recovery: List[float] = []
+    for strike in fault_times:
+        at = bisect_right(ack_times, strike)
+        if at < len(ack_times):
+            recovery.append(ack_times[at] - strike)
+    return recovery
 
 
 def _run_cell(
@@ -153,11 +171,7 @@ def _run_cell(
     gaps = [
         b - a for a, b in zip(ack_times, ack_times[1:])
     ]
-    recovery: List[float] = []
-    for strike in fault_times:
-        later = [t for t in ack_times if t > strike]
-        if later:
-            recovery.append(later[0] - strike)
+    recovery = _recoveries(fault_times, ack_times)
 
     # Consensus-level latency distributions, read back from the obs
     # registry the Raft nodes populate (zeros for the single-authority

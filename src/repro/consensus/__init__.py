@@ -9,7 +9,7 @@ control plane survives node loss and rack-level partitions.  The pieces:
   (full metadata/grants vs vote-only witness);
 * :mod:`~repro.consensus.network` — the consensus fabric with
   zone-aware latencies, member death, and partitions;
-* :mod:`~repro.consensus.raft` — the member coroutine (elections,
+* :mod:`~repro.consensus.raft` — the callback-driven member (elections,
   replication, snapshots);
 * :mod:`~repro.consensus.group` — the group bundle + client propose loop;
 * :mod:`~repro.consensus.store` — the

@@ -31,7 +31,7 @@ from repro.consensus.statemachine import (
     WitnessStateMachine,
 )
 from repro.errors import ConsensusError, NotLeader
-from repro.sim.engine import Environment, Event, Process
+from repro.sim.engine import Environment, Event
 from repro.sim.rng import RngHub
 from repro.units import ms
 
@@ -87,7 +87,6 @@ class RaftGroup:
                 election_timeout_span=election_timeout_span,
                 snapshot_threshold=snapshot_threshold,
             )
-        self._procs: List[Process] = []
         self._started = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -96,7 +95,8 @@ class RaftGroup:
         if self._started:
             return
         self._started = True
-        self._procs = [self.nodes[name].start() for name in self.members]
+        for name in self.members:
+            self.nodes[name].start()
 
     def stop(self) -> None:
         """Park every member so ``env.run()`` can drain the queue."""

@@ -1,6 +1,9 @@
-"""The Raft replica: one coroutine per member over the consensus fabric.
+"""The Raft replica: one callback-driven member over the consensus fabric.
 
-A faithful (if compact) Raft implementation on the repro.sim substrate:
+A faithful (if compact) Raft implementation on the repro.sim substrate.
+Each member is a chain of engine callbacks, stepped the way raft-rs's
+``RawNode`` is: wait for mail or the member timer, then handle the mail
+and heartbeat or time out (see "main loop" below for its event order).
 
 * **Leader election** with randomized-but-seeded timeouts — every member
   draws its election timeouts from its own named RNG stream
@@ -24,13 +27,14 @@ A faithful (if compact) Raft implementation on the repro.sim substrate:
 Determinism contract: every externally visible transition (election
 start, leadership, commit, snapshot, crash, revive) is appended to
 ``trace`` as a plain tuple, and the same seed plus the same fault
-schedule reproduces the identical trace (tested by Hypothesis).
+schedule reproduces the identical trace (tested by Hypothesis, which
+also holds it equal to the reference loop's).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.consensus.messages import (
     AppendEntries,
@@ -45,7 +49,7 @@ from repro.consensus.network import ConsensusFabric
 from repro.consensus.statemachine import StateMachine
 from repro.errors import NotLeader, SimulationError
 from repro.obs.context import tracer_of
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Timeout
 from repro.sim.rng import RngHub
 from repro.units import ms
 
@@ -70,7 +74,7 @@ class Role(enum.Enum):
     LEADER = "leader"
 
 
-class RaftNode:  # reproflow: ignore[FLOW103] (per-node state; only its own _run writes)
+class RaftNode:  # reproflow: ignore[FLOW103] (per-node state; only its own loop callbacks write)
     """One consensus group member bound to a cluster node name."""
 
     def __init__(
@@ -124,6 +128,11 @@ class RaftNode:  # reproflow: ignore[FLOW103] (per-node state; only its own _run
         self._revive_ev: Optional[Event] = None
         self._deadline = 0.0
         self._heartbeat_due = 0.0
+        #: The current wait's mail event (None once it has woken) and timer.
+        self._mail: Optional[Event] = None
+        self._timer: Optional[Timeout] = None
+        self._wake_callback = self._on_wake
+        self._step_callback = self._step
 
         # Counters + the determinism trace.
         self.elections_started = 0
@@ -157,10 +166,12 @@ class RaftNode:  # reproflow: ignore[FLOW103] (per-node state; only its own _run
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self):
-        """Launch the member's main coroutine."""
+    def start(self) -> None:
+        """Arm the member: its loop first runs at the current time."""
         self._reset_deadline()
-        return self.env.process(self._run())
+        boot = Event(self.env)
+        boot.callbacks.append(self._resume)
+        boot.succeed()
 
     def stop(self) -> None:
         self._stopped = True
@@ -203,41 +214,80 @@ class RaftNode:  # reproflow: ignore[FLOW103] (per-node state; only its own _run
                 event.fail(NotLeader(self.leader_hint))
 
     # -- main loop -----------------------------------------------------------
+    #
+    # The loop is a chain of engine callbacks.  Each wait schedules the
+    # mail event (a ready event when mail is queued, else the fabric's
+    # waiter, which pushes when mail lands) and then the member timer.
+    # The first of the two to be dispatched pushes one hop event at the
+    # current time, and the hop runs the step: handle the mail, then
+    # heartbeat or time out.  These are the pushes a generator process
+    # waiting on ``any_of([mail, timer])`` makes, in the same order, so
+    # same-instant events interleave exactly as they do under one
+    # (``tests/consensus/reference_raft.py`` keeps that process as the
+    # reference).  A crashed member waits on a revive event instead.
 
-    def _run(self) -> Generator[Event, Any, None]:
+    def _resume(self, _event: Event) -> None:
+        """Bootstrap or revive: back to the top of the loop."""
+        self._revive_ev = None
+        self._wait()
+
+    def _wait(self) -> None:
+        """Top of the loop: park until mail, the timer, or a revive."""
+        if self._stopped:
+            return
         env = self.env
-        while not self._stopped:
-            if self.crashed:
-                self._revive_ev = env.event()
-                yield self._revive_ev
-                self._revive_ev = None
-                continue
-            due = (
-                self._heartbeat_due if self.role is Role.LEADER
-                else self._deadline
-            )
-            delay = max(0.0, due - env.now)
-            # Mail first: with mail queued and no delay left, the ready
-            # event must sit ahead of the timer in the heap.
-            mail = self.fabric.recv_event(self.name)
-            timer = env.timeout(delay)
-            yield env.any_of([mail, timer])
-            timer.cancel()
-            if self._stopped:
-                return
-            if self.crashed:
-                continue
-            msg = self.fabric.pop(self.name)
+        if self.crashed:
+            revive = self._revive_ev = Event(env)
+            revive.callbacks.append(self._resume)
+            return
+        due = (
+            self._heartbeat_due if self.role is Role.LEADER
+            else self._deadline
+        )
+        delay = max(0.0, due - env.now)
+        # Mail first: with mail queued and no delay left, the ready
+        # event must sit ahead of the timer in the heap.
+        mail = self._mail = self.fabric.recv_event(self.name)
+        timer = self._timer = Timeout(env, delay)
+        wake = self._wake_callback
+        mail.callbacks.append(wake)
+        timer.callbacks.append(wake)
+
+    def _on_wake(self, event: Event) -> None:
+        """The wait's first mail or timer dispatch: push the hop.
+
+        The member is armed while ``_mail`` is set.  A reused fabric
+        waiter also carries the callback of each earlier wait whose timer
+        won, and the wait's loser may be dispatched before the hop:
+        neither does anything.
+        """
+        mail = self._mail
+        if mail is None or (event is not mail and event is not self._timer):
+            return
+        self._mail = None
+        hop = Event(self.env)
+        hop.callbacks.append(self._step_callback)
+        hop.succeed()
+
+    def _step(self, _hop: Event) -> None:
+        """What the member does when its wait ends; then the next wait."""
+        self._timer._withdraw()
+        if self._stopped:
+            return
+        if not self.crashed:
+            fabric, name = self.fabric, self.name
+            msg = fabric.pop(name)
             while msg is not None and not self.crashed and not self._stopped:
                 self._handle(msg)
-                msg = self.fabric.pop(self.name)
-            if self.crashed or self._stopped:
-                continue
-            if self.role is Role.LEADER:
-                if env.now >= self._heartbeat_due:
-                    self._broadcast_entries()
-            elif env.now >= self._deadline:
-                self._start_prevote()
+                msg = fabric.pop(name)
+            if not (self.crashed or self._stopped):
+                now = self.env.now
+                if self.role is Role.LEADER:
+                    if now >= self._heartbeat_due:
+                        self._broadcast_entries()
+                elif now >= self._deadline:
+                    self._start_prevote()
+        self._wait()
 
     def _reset_deadline(self) -> None:
         jitter = float(self._rng.random()) * self.election_timeout_span

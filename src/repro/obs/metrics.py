@@ -252,6 +252,9 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
 
     def counter(self, name: str, unit: str = "1") -> CounterInstrument:
+        inst = self._instruments.get(name)
+        if type(inst) is CounterInstrument:  # the hot path: one lookup
+            return inst
         return self._get(name, "counter", unit, CounterInstrument)
 
     def gauge(self, name: str, unit: str = "1") -> Gauge:

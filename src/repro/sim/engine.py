@@ -26,6 +26,9 @@ it, before any observer sees it, and counts it in
 clock, exactly as dispatching a timer with nothing left to do would.
 A process that waits on a cancelled timeout, or yields one, fails with
 :class:`~repro.errors.SimulationError` rather than waiting forever.
+A timeout that only its owner's own callback awaits (a fair-share wake,
+a Raft member's timer) is withdrawn with the private
+``Timeout._withdraw``, which skips that waiter scan.
 
 :meth:`Process.interrupt` schedules the :class:`Interrupt` as an
 ordinary event at the current time.  When it lands, the process is
@@ -259,6 +262,15 @@ class Timeout(Event):
                     waiter._fail_process(error)
                 else:
                     waiter.fail(error)
+
+    def _withdraw(self) -> None:
+        """:meth:`cancel` for a timeout awaited only by its owner's callback.
+
+        The owner scheduled the timeout and attached its own callback, so
+        no process or condition can be waiting on it: the waiter scan is
+        skipped.  Withdrawing a dispatched timeout does nothing.
+        """
+        self.callbacks = None
 
 
 class Process(Event):

@@ -53,6 +53,8 @@ interpreter work around them:
   :meth:`FairShareServer.utilisation` reads it.
 - Each re-rate cancels the previous wake ``Timeout`` before it
   schedules the next one, so only the latest wake is ever dispatched.
+  Only ``_on_wake`` awaits a wake, so the cancel skips the waiter scan
+  (``Timeout._withdraw``).
   A cancelled wake keeps its heap entry until its time comes, so every
   other event keeps its sequence number and its order. A dispatched
   wake is forgotten as it starts, so the next re-rate has nothing to
@@ -225,7 +227,7 @@ class FairShareServer:
                 self._rates = rates
                 horizon = min(map(truediv, map(_REMAINING, flows.values()), rates))
         if self._wake is not None:
-            self._wake.cancel()  # superseded: it will never be dispatched
+            self._wake._withdraw()  # superseded: it will never be dispatched
         # Next completion. _advance() can leave an almost-finished flow
         # with remaining ~ -1e-16 (fp dust), which would make the horizon
         # negative and the timeout below illegal — clamp to "fire now".

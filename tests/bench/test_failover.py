@@ -1,9 +1,17 @@
-"""Smoke test for the failover experiment (the acceptance gate)."""
+"""The failover experiment: its recovery scan, and smoke tests of the
+acceptance gate."""
 
 import pytest
 
-from repro.bench.failover import failover
+from repro.bench.failover import _recoveries, failover
 from repro.units import ms
+
+
+def test_recovery_is_the_first_ack_strictly_after_each_strike():
+    acks = [0.0, 1.0, 1.0, 2.5]
+    # An ack at exactly the strike's time is not its recovery, and a
+    # strike after the last ack records none.
+    assert _recoveries([1.0, 0.5, -1.0, 2.5, 3.0], acks) == [1.5, 0.5, 1.0]
 
 
 @pytest.mark.slow

@@ -23,39 +23,45 @@ fault_steps = st.lists(
 )
 
 
+def scripted_client(env, group, schedule, n_ops, acks):
+    """Process body: ``n_ops`` proposals through the fault schedule.
+
+    Appends each acknowledged proposal's ``(log index, env.now)`` to
+    ``acks``.
+    """
+    yield from group.wait_leader(timeout=2.0)
+    pending = list(schedule)
+    for i in range(n_ops):
+        # One outstanding fault at a time: strike, commit through it,
+        # repair.  A lone fault always leaves a quorum side, so the
+        # untimed propose below cannot block forever.
+        repair = None
+        if pending:
+            kind, offset = pending.pop(0)
+            yield env.timeout(ms(offset))
+            if kind == "kill-leader":
+                victim = group.kill_leader()
+                if victim is not None:
+                    repair = ("revive", victim)
+            elif kind == "partition-leader":
+                lead = group.leader()
+                if lead is not None:
+                    group.partition([lead])
+                    repair = ("heal", None)
+        index, _result = yield from group.propose(("meta.set", f"/k{i}", i))
+        acks.append((index, env.now))
+        if repair is not None:
+            action, victim = repair
+            group.revive(victim) if action == "revive" else group.heal()
+    yield env.timeout(ms(250))
+
+
 def run_once(seed, schedule, n_ops=6):
     """One full consensus run; returns the observable outcome tuple."""
     env = Environment()
     group = RaftGroup(env, MEMBERS, RngHub(seed))
     group.start()
-
-    def body():
-        yield from group.wait_leader(timeout=2.0)
-        pending = list(schedule)
-        for i in range(n_ops):
-            # One outstanding fault at a time: strike, commit through it,
-            # repair.  A lone fault always leaves a quorum side, so the
-            # untimed propose below cannot block forever.
-            repair = None
-            if pending:
-                kind, offset = pending.pop(0)
-                yield env.timeout(ms(offset))
-                if kind == "kill-leader":
-                    victim = group.kill_leader()
-                    if victim is not None:
-                        repair = ("revive", victim)
-                elif kind == "partition-leader":
-                    lead = group.leader()
-                    if lead is not None:
-                        group.partition([lead])
-                        repair = ("heal", None)
-            yield from group.propose(("meta.set", f"/k{i}", i))
-            if repair is not None:
-                action, victim = repair
-                group.revive(victim) if action == "revive" else group.heal()
-        yield env.timeout(ms(250))
-
-    proc = env.process(body())
+    proc = env.process(scripted_client(env, group, schedule, n_ops, []))
     env.run_until_complete(proc)
     group.stop()
     env.run()

@@ -70,6 +70,8 @@ def test_registry_typed_instruments_and_metadata():
     assert reg.counter("io.bytes").value == 100  # same instrument on re-ask
     with pytest.raises(ValueError):
         reg.gauge("io.bytes")  # kind conflict
+    with pytest.raises(ValueError, match="'depth' already registered as gauge"):
+        reg.counter("depth")  # ... also past the counter's one-lookup path
     with pytest.raises(KeyError):
         reg.get("never-made")
 

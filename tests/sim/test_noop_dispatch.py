@@ -2,8 +2,9 @@
 
 A timer left behind by a re-rate or by a wait that something else won
 used to be dispatched only for its callbacks to return at once: a
-superseded fair-share ``_on_wake``, or the ``_on_child`` of a condition
-that had already triggered. Those timers are now cancelled, so a
+superseded fair-share ``_on_wake``, the ``_on_child`` of a condition
+that had already triggered, or a Raft member's ``_on_wake`` after its
+wait was won by mail. Those timers are now cancelled, so a
 counting observer over fig7a's pinned cell and a small failover run
 must find none, while the results stay pinned.
 """
@@ -12,6 +13,7 @@ import pytest
 
 from repro.bench.failover import failover
 from repro.consensus.network import ConsensusFabric
+from repro.consensus.raft import RaftNode
 from repro.sim import Environment, FairShareServer
 from repro.sim.engine import AllOf, AnyOf, Timeout
 from tests.conftest import FIG7A_REF, fig7a_run
@@ -23,6 +25,8 @@ def _is_noop(callback, event):
         return owner.triggered
     if isinstance(owner, FairShareServer):
         return event is not owner._wake
+    if isinstance(owner, RaftNode):  # acts only when armed, on its own timer
+        return owner._mail is None or event is not owner._timer
     return False
 
 
