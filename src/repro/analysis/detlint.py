@@ -16,7 +16,7 @@ DET003      exact float equality on simulated timestamps
 DET004      iteration over an unordered ``set`` (hash-order nondeterminism)
 DET005      sim coroutine / timeout created but never registered or yielded
 DET006      hot-module class without ``__slots__``
-DET007      bare ``except:`` (swallows Interrupt / SimulationError); also a
+DET007      bare ``except:`` (swallows SimulationError and model errors); also a
             file that does not parse
 DET008      process-identity read (``os.getpid``/``uuid.uuid4``/...) in sim code
 ==========  ==============================================================
@@ -270,8 +270,8 @@ class _Visitor(ast.NodeVisitor):
         if node.type is None:
             self.report(
                 node, "DET007",
-                "bare `except:` catches Interrupt/SimulationError and hides "
-                "model bugs",
+                "bare `except:` catches SimulationError and model errors and "
+                "hides model bugs",
             )
         self.generic_visit(node)
 

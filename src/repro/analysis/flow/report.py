@@ -97,8 +97,8 @@ DET_RULES = _catalog(
         "DET007",
         "bare-except",
         "bare `except:` around simulation code",
-        "name the exception; a bare except swallows Interrupt and "
-        "SimulationError and corrupts recovery paths",
+        "name the exception; a bare except swallows SimulationError and "
+        "model errors and corrupts recovery paths",
     ),
     Rule(
         "DET008",

@@ -80,7 +80,6 @@ def _run_cell(
     """One (system, fault rate) cell; returns the measured dict."""
     handle = _build(name, seed)
     env = handle.env
-    dep = handle.deployment
     group = handle.extras.get("group")
     store = handle.extras.get("store")
     if store is None:
@@ -88,7 +87,7 @@ def _run_cell(
 
         store = make_metadata_store(env, "local")
 
-    injector = FaultInjector(env, cluster=dep.cluster, seed=seed)
+    injector = FaultInjector(env)
     if group is not None:
         injector.attach_consensus(group)
 

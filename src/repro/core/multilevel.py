@@ -95,9 +95,8 @@ class MultiLevelCheckpointer:
                     "MultiLevelCheckpointer needs a non-None level1 client "
                     "(or an explicit tier target list)"
                 )
-            # level2 may be None: the degenerate no-durable-tier mode the
-            # resilience orchestrator runs to show cascading loss is fatal.
-            # Placing a checkpoint there raises at write time.
+            # level2 may be None: a level-1-only checkpointer. Placing a
+            # checkpoint on level 2 then raises at write time.
         self.level1 = level1
         self.level2 = level2
         self.pfs_interval = pfs_interval

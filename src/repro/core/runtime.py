@@ -22,7 +22,6 @@ from repro.core.config import RuntimeConfig
 from repro.core.control_plane import GlobalNamespaceService
 from repro.core.data_plane import DataPlane
 from repro.core.microfs.fs import MicroFS
-from repro.core.microfs.recovery import RecoveryReport, recover
 from repro.core.security import SecurityManager
 from repro.errors import SimulationError
 from repro.fabric.nvmf import NVMfInitiator, NVMfTarget
@@ -140,32 +139,6 @@ class NVMeCRRuntime:
             yield from self.comm.barrier()
             self.initiator.disconnect_all()
             self._initialized = False
-
-    def recover(self) -> Generator[Event, Any, RecoveryReport]:
-        """Rebuild this rank's MicroFS from its partition after a crash.
-
-        Requires init-time wiring (plan, transport) but a *fresh* fs —
-        models runtime restart on the replacement process.
-        """
-        if self.data_plane is None:
-            raise SimulationError("recover() before init()")
-        rank = self.comm.rank
-        partition = self.plan.partition_for(rank, self.config.effective_block_bytes)
-        with self._span("runtime.recover"):
-            fs, report = yield from recover(
-                self.env, self.config, self.data_plane, partition,
-                instance_name=f"{self.plan.job.spec.name}.r{rank}",
-                uid=self.uid,
-                global_namespace=self.global_namespace,
-                counters=self.counters,
-            )
-        self.fs = fs
-        ctx = self.env.obs
-        if ctx is not None:
-            ctx.metrics.counter("runtime.recoveries").add(1)
-            ctx.metrics.histogram("runtime.recovery_replayed_records",
-                                  unit="1").observe(report.records_replayed)
-        return report
 
     # -- helpers ------------------------------------------------------------------------
 

@@ -77,27 +77,11 @@ class NVMfTarget:
         self.node_name = node_name
         self.ssd = ssd
         self.sessions = 0
-        self.alive = True
         self.counters = Counter()
 
     def subsystem_nqn(self) -> str:
         """NVMe Qualified Name for discovery."""
         return f"nqn.2021-01.repro:{self.node_name}:{self.ssd.name}"
-
-    def kill(self) -> None:
-        """Target daemon dies (fault injection): every session breaks.
-
-        Device data is untouched — this is a software failure; initiators
-        reconnect once a replacement daemon is up (:meth:`revive`).
-        """
-        self.alive = False
-        self.counters.add("deaths")
-        ctx = self.env.obs
-        if ctx is not None:
-            ctx.metrics.counter("nvmf.target.deaths").add(1)
-
-    def revive(self) -> None:
-        self.alive = True
 
 
 class NVMfSession:  # reproflow: ignore[FLOW103] (counters owned by the session's client)
@@ -127,12 +111,6 @@ class NVMfSession:  # reproflow: ignore[FLOW103] (counters owned by the session'
         if not self.connected:
             raise FabricError(
                 f"session to {self.target.subsystem_nqn()} is disconnected"
-            )
-        if not self.target.alive:
-            # The daemon died under us: the QP is torn down too.
-            self.disconnect()
-            raise FabricError(
-                f"target {self.target.subsystem_nqn()} is dead (daemon fault)"
             )
 
     def disconnect(self) -> None:
@@ -259,9 +237,9 @@ class NVMfSession:  # reproflow: ignore[FLOW103] (counters owned by the session'
             cap = None
         else:
             # Doorbell batching pipelines submissions behind one ring:
-            # the per-command command_size/rtt QD-1 ceiling of _io does
-            # not apply; only the (possibly degraded) line rate does.
-            cap = self.fabric.payload_cap(self.initiator_node, self.target.node_name)
+            # the per-command command_size/rtt QD-1 ceiling of a single
+            # read or write does not apply; only the line rate does.
+            cap = self.fabric.payload_cap()
         events = []
         for offset, payload in merged:
             if tr is not None:
@@ -369,9 +347,8 @@ class _SessionIO:
             else:
                 # Run-to-completion over the fabric: each in-flight command
                 # pays the round trip, so a session's stream is capped at
-                # command_size/rtt on top of the (possibly degraded) line rate.
-                cap = session.fabric.payload_cap(
-                    session.initiator_node, session.target.node_name)
+                # command_size/rtt on top of the line rate.
+                cap = session.fabric.payload_cap()
                 if self.rtt > 0:
                     cap = min(cap, self.command_size / self.rtt)
             if tr is not None:
@@ -425,10 +402,6 @@ class NVMfInitiator:
 
     def connect(self, target: NVMfTarget) -> NVMfSession:
         """Open (or reuse) a session to a target."""
-        if not target.alive:
-            raise FabricError(
-                f"cannot connect: target {target.subsystem_nqn()} is dead"
-            )
         nqn = target.subsystem_nqn()
         session = self._sessions.get(nqn)
         if session is None or not session.connected:

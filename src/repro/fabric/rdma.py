@@ -11,8 +11,6 @@ per-batch round trip amortises to the < 3.5 % the paper reports
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.errors import FabricError
 from repro.topology.network import NetworkTopology
 from repro.units import Gbit_per_s, us
@@ -47,39 +45,12 @@ def edr_infiniband() -> RdmaSpec:
 
 
 class RdmaFabric:
-    """Topology-aware RDMA message timing.
-
-    Hosts may carry a *degrade factor* (fault injection): a value in
-    ``(0, 1]`` scales the endpoint's usable link capacity — bandwidth
-    drops to ``factor`` of line rate and per-message latency stretches
-    by ``1/factor`` (flapping links retransmit). ``0`` severs the link.
-    """
+    """Topology-aware RDMA message timing."""
 
     def __init__(self, topo: NetworkTopology, spec: RdmaSpec, env=None):
         self.topo = topo
         self.spec = spec
         self.env = env  # optional: enables per-message metrics via env.obs
-        self._degraded: dict = {}  # host -> remaining capacity factor
-
-    # -- fault injection ----------------------------------------------------
-
-    def degrade(self, host: str, factor: float) -> None:
-        """Degrade ``host``'s link to ``factor`` of capacity (0 = dead)."""
-        if factor < 0 or factor > 1:
-            raise FabricError(f"degrade factor must be in [0, 1], got {factor}")
-        self._degraded[host] = factor
-
-    def restore(self, host: str) -> None:
-        self._degraded.pop(host, None)
-
-    def link_factor(self, src: str, dst: str) -> float:
-        """Remaining capacity along ``src -> dst`` (worst endpoint)."""
-        return min(
-            self._degraded.get(src, 1.0), self._degraded.get(dst, 1.0)
-        )
-
-    def is_severed(self, src: str, dst: str) -> bool:
-        return src != dst and self.link_factor(src, dst) == 0.0
 
     # -- timing -------------------------------------------------------------
 
@@ -93,10 +64,6 @@ class RdmaFabric:
             return 0.0
         hops = self.topo.hop_count(src, dst)
         latency = self.spec.base_latency + hops * self.spec.per_hop_latency
-        factor = self.link_factor(src, dst)
-        if factor <= 0.0:
-            raise FabricError(f"link {src} -> {dst} is severed")
-        latency = latency / factor
         if self.env is not None:
             ctx = self.env.obs
             if ctx is not None:
@@ -111,12 +78,6 @@ class RdmaFabric:
     def round_trip(self, src: str, dst: str, qos=None) -> float:
         return 2.0 * self.one_way_latency(src, dst, qos=qos)
 
-    def payload_cap(self, src: Optional[str] = None, dst: Optional[str] = None) -> float:
-        """Rate cap a single QP's data stream sees (the line rate,
-        scaled down when either endpoint's link is degraded)."""
-        factor = 1.0
-        if src is not None and dst is not None and src != dst:
-            factor = self.link_factor(src, dst)
-            if factor <= 0.0:
-                raise FabricError(f"link {src} -> {dst} is severed")
-        return self.spec.link_bandwidth * factor
+    def payload_cap(self) -> float:
+        """Rate cap a single QP's data stream sees: the line rate."""
+        return self.spec.link_bandwidth

@@ -1,16 +1,18 @@
-"""repro.faults — deterministic fault injection and recovery orchestration.
+"""repro.faults — deterministic fault injection.
 
 The subsystem has four layers:
 
-* :mod:`repro.faults.model` — typed fault kinds and blast-radius
-  computation over the cluster's failure domains;
+* :mod:`repro.faults.model` — typed fault kinds (node crash and the two
+  control-plane faults) and their blast radii;
 * :mod:`repro.faults.hazard` — seeded renewal processes (exponential /
   Weibull) drawn from named RNG streams, common across systems;
-* :mod:`repro.faults.injector` — the sim process that applies physical
-  effects to live devices, daemons, links, and the scheduler;
-* :mod:`repro.faults.recovery` — orchestration that exercises the real
-  recovery paths (requeue, log replay, level-2 fallback);
+* :mod:`repro.faults.injector` — the sim process that fires a fault
+  schedule and applies control-plane faults to a Raft group;
 * :mod:`repro.faults.timeline` — the observable record of all of it.
+
+Checkpoint recovery itself lives with the storage it restores: MicroFS
+log replay in :mod:`repro.core.microfs.recovery` and the level-2
+fallback in :class:`~repro.core.multilevel.MultiLevelCheckpointer`.
 """
 
 from repro.faults.hazard import HazardSpec, campaign_failure_times, draw_arrival_times
@@ -20,16 +22,10 @@ from repro.faults.model import (
     Fault,
     FaultKind,
     LeaderKill,
-    LinkDegrade,
     NetworkPartition,
     NodeCrash,
-    NVMfTargetDeath,
-    PDUFailure,
-    SSDPowerLoss,
-    SwitchFailure,
     blast_radius,
 )
-from repro.faults.recovery import RecoveryOrchestrator, ResilientRunReport
 from repro.faults.timeline import FaultRecord, FaultTimeline
 
 __all__ = [
@@ -41,15 +37,8 @@ __all__ = [
     "FaultTimeline",
     "HazardSpec",
     "LeaderKill",
-    "LinkDegrade",
     "NetworkPartition",
     "NodeCrash",
-    "NVMfTargetDeath",
-    "PDUFailure",
-    "RecoveryOrchestrator",
-    "ResilientRunReport",
-    "SSDPowerLoss",
-    "SwitchFailure",
     "blast_radius",
     "campaign_failure_times",
     "draw_arrival_times",

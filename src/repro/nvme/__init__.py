@@ -6,9 +6,9 @@ queue bookkeeping, an extent store that actually retains written
 payloads (so recovery tests replay real bytes), and a calibrated
 service model (sustained bandwidth, per-command controller cost,
 command-granular arbitration jitter, optional RAM write buffer with
-power-loss capacitance). :class:`~repro.faults.injector.FaultInjector`
-cuts and restores power through ``SSD.power_fail``/``power_restore``,
-and an optional :class:`~repro.nvme.queues.WrrArbiter` admits commands
+power-loss capacitance). ``SSD.power_fail``/``power_restore`` cut and
+restore power (the BurstFS baseline and the failure-recovery example
+use them), and an optional :class:`~repro.nvme.queues.WrrArbiter` admits commands
 by QoS class.
 """
 

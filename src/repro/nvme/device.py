@@ -154,7 +154,7 @@ def generic_nand_ssd() -> SSDSpec:
     )
 
 
-class SSD(DeviceModel):  # reproflow: ignore[FLOW103] (deliberate: runtime sanitizer watches SSDs)
+class SSD(DeviceModel):
     """A live simulated SSD attached to a simulation environment.
 
     Implements the tier-neutral :class:`~repro.tiers.base.DeviceModel`

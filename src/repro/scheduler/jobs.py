@@ -67,7 +67,6 @@ class JobRecord:
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    requeues: int = 0  # times the scheduler reallocated compute after a fault
 
     def rank_to_node(self, rank: int) -> str:
         """Block placement: ranks fill nodes in order (mpiexec default)."""

@@ -38,7 +38,7 @@ class StorageGrant:
     namespace: Namespace
 
 
-class SlurmScheduler:  # reproflow: ignore[FLOW103] (node sets serialized by scheduler events)
+class SlurmScheduler:
     """Tracks node and namespace inventory; answers allocation requests."""
 
     def __init__(self, env: Environment, cluster: ClusterSpec, topo: Optional[NetworkTopology] = None):
@@ -49,7 +49,6 @@ class SlurmScheduler:  # reproflow: ignore[FLOW103] (node sets serialized by sch
         self._free_compute = [n.name for n in cluster.compute_nodes()]
         self._ssds: Dict[str, List[SSD]] = {}
         self._grants: Dict[int, List[StorageGrant]] = {}
-        self._down: set = set()
         self.jobs: Dict[int, JobRecord] = {}
 
     # -- observability ------------------------------------------------------------
@@ -87,40 +86,6 @@ class SlurmScheduler:  # reproflow: ignore[FLOW103] (node sets serialized by sch
 
     def free_compute_nodes(self) -> List[str]:
         return list(self._free_compute)
-
-    def down_nodes(self) -> List[str]:
-        return sorted(self._down)
-
-    def mark_node_down(self, node_name: str) -> None:
-        """Take a node out of service (fault injection / operator drain).
-
-        A free node leaves the pool immediately; an allocated node is
-        only excluded from future allocations — the owning job learns of
-        the loss through its own failure handling (requeue).
-        """
-        self.cluster.node(node_name)  # validate the name
-        self._down.add(node_name)
-        if node_name in self._free_compute:
-            self._free_compute.remove(node_name)
-
-    def mark_node_up(self, node_name: str) -> None:
-        """Return a repaired node to service."""
-        if node_name not in self._down:
-            return
-        self._down.discard(node_name)
-        node = self.cluster.node(node_name)
-        allocated = {
-            n
-            for job in self.jobs.values()
-            if job.state is JobState.RUNNING
-            for n in job.compute_nodes
-        }
-        if (
-            node.kind is NodeKind.COMPUTE
-            and node_name not in allocated
-            and node_name not in self._free_compute
-        ):
-            self._free_compute.append(node_name)
 
     # -- job lifecycle ----------------------------------------------------------------
 
@@ -176,49 +141,13 @@ class SlurmScheduler:  # reproflow: ignore[FLOW103] (node sets serialized by sch
                           nodes=",".join(node_names), bytes_per_device=quota)
         return grants
 
-    def grants_of(self, job: JobRecord) -> List[StorageGrant]:
-        return list(self._grants.get(job.job_id, []))
-
     def complete(self, job: JobRecord, failed: bool = False) -> None:
         """Release nodes and delete the job's namespaces (ephemeral!)."""
         if job.state is not JobState.RUNNING:
             raise SchedulerError(f"job {job.spec.name} is not running")
         job.state = JobState.FAILED if failed else JobState.COMPLETED
         job.finished_at = self.env.now
-        self._free_compute.extend(
-            n for n in job.compute_nodes if n not in self._down
-        )
+        self._free_compute.extend(job.compute_nodes)
         for grant in self._grants.pop(job.job_id, []):
             grant.ssd.delete_namespace(grant.namespace.nsid)
         self._obs_instant("sched.complete", job=job.spec.name, failed=failed)
-
-    def requeue(self, job: JobRecord, restart_cost: float = 0.0) -> JobRecord:
-        """Reallocate a running job's compute after a node loss,
-        *preserving its storage grants*.
-
-        Unlike :meth:`complete`, the job's NVMe namespaces survive — the
-        partner-domain checkpoint data they hold is exactly what the
-        replacement processes restore from. Down nodes are excluded;
-        surviving nodes return to the pool and the job draws a fresh
-        allocation (Slurm's ``scontrol requeue`` + ``--no-kill`` shape).
-        """
-        if job.state is not JobState.RUNNING:
-            raise SchedulerError(f"job {job.spec.name} is not running")
-        self._free_compute.extend(
-            n for n in job.compute_nodes if n not in self._down
-        )
-        job.compute_nodes = []
-        needed = job.spec.compute_nodes_needed()
-        if needed > len(self._free_compute):
-            job.state = JobState.FAILED
-            job.finished_at = self.env.now
-            raise AllocationError(
-                f"job {job.spec.name}: requeue needs {needed} compute nodes, "
-                f"only {len(self._free_compute)} are up"
-            )
-        job.compute_nodes = [self._free_compute.pop(0) for _ in range(needed)]
-        job.requeues += 1
-        job.started_at = self.env.now + restart_cost
-        self._obs_instant("sched.requeue", job=job.spec.name,
-                          requeues=job.requeues, restart_cost_s=restart_cost)
-        return job

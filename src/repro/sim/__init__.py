@@ -23,7 +23,6 @@ from repro.sim.engine import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     Timeout,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "Event",
     "FairShareServer",
     "Flow",
-    "Interrupt",
     "Process",
     "Resource",
     "RngHub",

@@ -29,12 +29,6 @@ A process that waits on a cancelled timeout, or yields one, fails with
 A timeout that only its owner's own callback awaits (a fair-share wake,
 a Raft member's timer) is withdrawn with the private
 ``Timeout._withdraw``, which skips that waiter scan.
-
-:meth:`Process.interrupt` schedules the :class:`Interrupt` as an
-ordinary event at the current time.  When it lands, the process is
-detached from whatever it is waiting on at that moment, so the event
-it was waiting on can never resume it a second time; an interrupt that
-lands after the process has ended is dropped.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "AnyOf",
     "AllOf",
 ]
@@ -126,20 +119,6 @@ class EngineTelemetry:
         metrics.counter("engine.fairshare.recomputes").add(
             self.fairshare_recomputes)
         metrics.counter("engine.fairshare.flows").add(self.fairshare_flows)
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    ``cause`` carries whatever the interrupter supplied (e.g. the
-    recovery orchestrator's ``"fault injected"``).
-    """
-
-    __slots__ = ("cause",)
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -283,54 +262,20 @@ class Process(Event):
     hide model bugs).
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         # Bootstrap: step the process at the current time.
         bootstrap = Event(env)
         bootstrap.callbacks.append(self._resume)
         bootstrap._triggered = True
         env._schedule(bootstrap, 0.0)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the process generator has not returned."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The interrupt is an event at ``now``; see :meth:`_land_interrupt`.
-        """
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        kick = Event(self.env)
-        kick.callbacks.append(self._land_interrupt)
-        kick._triggered = True
-        kick._exc = Interrupt(cause)
-        self.env._schedule(kick, 0.0)
-
-    def _land_interrupt(self, kick: Event) -> None:
-        """Detach from the awaited event and resume with the interrupt.
-
-        The process may have moved on since :meth:`interrupt` was
-        called, so it detaches from whatever it waits on *now*; one
-        that has ended meanwhile drops the interrupt.
-        """
-        if self._triggered:
-            return
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            target.callbacks.remove(self._resume)
-        self._resume(kick)
-
     # -- stepping -----------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         telemetry = self.env.telemetry
         if telemetry is not None:
             telemetry.resumes += 1
@@ -366,10 +311,8 @@ class Process(Event):
             kick._value = target._value
             kick._exc = target._exc
             self.env._schedule(kick, 0.0)
-            self._waiting_on = kick
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
     def _finish(self, value: Any) -> None:
         if self._triggered:

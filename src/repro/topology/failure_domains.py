@@ -26,7 +26,7 @@ __all__ = ["FailureDomain", "derive_failure_domains", "partner_domains",
 
 
 @dataclass
-class FailureDomain:  # reproflow: ignore[FLOW103] (membership serialized by injector)
+class FailureDomain:
     """A set of nodes that share rack/PDU hardware and fail together."""
 
     domain_id: str

@@ -4,7 +4,7 @@
 def drive(env, proc):
     try:
         env.run()
-    except:  # noqa: E722  DET007: swallows Interrupt/SimulationError
+    except:  # noqa: E722  DET007: swallows SimulationError and model errors
         pass
 
 

@@ -28,9 +28,9 @@ def test_committed_baseline_is_empty():
 
 
 def test_src_candidates_include_deliberately_unsuppressed_devices(src_index):
-    """SSDs are intentionally tie-break-free (the runtime sanitizer
+    """Devices are intentionally tie-break-free (the runtime sanitizer
     watches them); the static pass must still export them as candidates
     even though the blocking finding is suppressed."""
     _, candidates = analyze_index(src_index, load_config(ROOT))
     classes = {c.class_qualname for c in candidates}
-    assert "repro.nvme.device.SSD" in classes
+    assert "repro.tiers.nvm.NVMDevice" in classes

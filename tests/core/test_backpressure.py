@@ -34,12 +34,12 @@ def _fabric_plane():
     session = NVMfInitiator(env, "comp00", fabric).connect(target)
     dp = DataPlane(env, FabricTransport(session), ns.nsid,
                    RuntimeConfig(max_batch_bytes=MiB(8)))
-    return env, ssd, target, dp
+    return env, ssd, session, dp
 
 
-def test_dead_target_propagates_fabric_error():
-    env, ssd, target, dp = _fabric_plane()
-    target.kill()
+def test_disconnected_session_propagates_fabric_error():
+    env, ssd, session, dp = _fabric_plane()
+    session.disconnect()
     with pytest.raises(FabricError):
         env.run_until_complete(env.process(
             dp.write_runs([(0, Payload.synthetic("w", KiB(64)))])))

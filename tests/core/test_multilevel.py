@@ -43,8 +43,8 @@ def test_missing_tier_clients_rejected():
 
 
 def test_no_durable_tier_mode_raises_at_durable_write():
-    """level2=None is the deliberate no-durable-tier mode (resilience
-    orchestrator); only *placing* a checkpoint there is an error."""
+    """level2=None is the deliberate level-1-only mode; only *placing*
+    a checkpoint on level 2 is an error."""
     fleet = MicroFSFleet(1, partition_bytes=MiB(256))
     mlc = MultiLevelCheckpointer(fleet.clients[0], None, pfs_interval=1)
     mlc._dir_made = True

@@ -125,6 +125,53 @@ def test_restart_reads_back_checkpoints():
         assert stats.bytes_read == 2 * 1000 * 5120
 
 
+def test_replacement_rank_replays_its_log_from_the_partner_domain_ssd():
+    """A compute-node crash loses only the ranks: each replacement rank
+    rebuilds its MicroFS by log replay from the partner-domain SSD."""
+    from repro.core.microfs.recovery import recover
+    from repro.mpi.runtime import launch
+
+    dep = Deployment(seed=7, deterministic_devices=True)
+    job, plan = dep.submit("replay", nprocs=2, procs_per_node=1, devices=1,
+                           bytes_per_device=GiB(2))
+    config = small_config()
+    files = {f"/ckpt{i}.dat": MiB(4) for i in range(2)}
+
+    def rank_main(shim, comm):
+        for path, nbytes in files.items():
+            fd = yield from shim.open(path, "w")
+            yield from shim.write(fd, nbytes)
+            yield from shim.fsync(fd)
+            yield from shim.close(fd)
+
+    dep.run_job(job, plan, rank_main, config=config)
+
+    recovered = {}
+
+    def replacement(comm):
+        runtime = dep.build_runtime(comm, job, plan, config)
+        yield from runtime.init(start_checkpointer=False)
+        partition = plan.partition_for(comm.rank, config.effective_block_bytes)
+        fs, report = yield from recover(
+            dep.env, config, runtime.data_plane, partition)
+        recovered[comm.rank] = (runtime, fs, report)
+
+    mpi_job = launch(dep.env, 2, replacement, node_of_rank=job.rank_to_node)
+    dep.env.run_until_complete(mpi_job.done)
+    mpi_job.done.value  # re-raises if any rank failed
+
+    compute_domains = {d.domain_id for d in dep.balancer.job_domains(job)}
+    assert sorted(recovered) == [0, 1]
+    for rank, (runtime, fs, report) in recovered.items():
+        for path, nbytes in files.items():
+            assert fs.stat(path).size == nbytes
+        assert report.records_replayed > 0
+        assert not runtime.data_plane.transport.session.is_local
+        grant = plan.grant_of_rank(rank)
+        storage_domain = dep.balancer.domain_of_node(grant.node_name)
+        assert storage_domain.domain_id not in compute_domains
+
+
 def test_nvmf_remote_vs_local_transport_selected():
     """Compute ranks are remote from storage: transports must be NVMf."""
     dep = Deployment(seed=10)

@@ -36,7 +36,7 @@ def test_consensus_fault_kinds_have_empty_blast_radius():
 
 def test_leader_kill_crashes_leader_and_repair_revives_it():
     env, group = make_group()
-    injector = FaultInjector(env, seed=1)
+    injector = FaultInjector(env)
     injector.attach_consensus(group)
     injector.at(ms(150), LeaderKill("cp"), repair_after=ms(100))
     injector.start()
@@ -58,7 +58,7 @@ def test_leader_kill_crashes_leader_and_repair_revives_it():
 
 def test_partition_defaults_to_worst_minority_cut():
     env, group = make_group()
-    injector = FaultInjector(env, seed=1)
+    injector = FaultInjector(env)
     injector.attach_consensus(group)
     injector.at(ms(150), NetworkPartition("cp"), repair_after=ms(100))
     injector.start()
@@ -82,7 +82,7 @@ def test_partition_defaults_to_worst_minority_cut():
 
 def test_partition_with_explicit_members():
     env, group = make_group()
-    injector = FaultInjector(env, seed=1)
+    injector = FaultInjector(env)
     injector.attach_consensus(group)
     injector.at(
         ms(150), NetworkPartition("cp", members=("cn2",)),
@@ -104,7 +104,7 @@ def test_partition_with_explicit_members():
 
 def test_consensus_faults_without_wiring_are_timeline_only():
     env = Environment()
-    injector = FaultInjector(env, seed=1)
+    injector = FaultInjector(env)
     injector.at(ms(10), LeaderKill("cp"), repair_after=ms(10))
     injector.at(ms(20), NetworkPartition("cp"), repair_after=ms(10))
     injector.start()
@@ -116,7 +116,7 @@ def test_interleaved_kills_and_partitions_recover():
     """The failover experiment's schedule shape: alternating strikes,
     each repaired before the next, with live proposals throughout."""
     env, group = make_group()
-    injector = FaultInjector(env, seed=1)
+    injector = FaultInjector(env)
     injector.attach_consensus(group)
     for k in range(4):
         fault = LeaderKill("cp") if k % 2 == 0 else NetworkPartition("cp")

@@ -1,117 +1,19 @@
-"""Blast-radius derivation for every fault kind."""
-
-import pytest
+"""Blast radii and value semantics of the fault kinds."""
 
 from repro.faults.model import (
     BlastRadius,
-    LinkDegrade,
+    LeaderKill,
+    NetworkPartition,
     NodeCrash,
-    NVMfTargetDeath,
-    PDUFailure,
-    SSDPowerLoss,
-    SwitchFailure,
     blast_radius,
 )
-from repro.topology.cluster import ClusterSpec, Node, NodeKind, Rack, paper_testbed
-from repro.topology.failure_domains import derive_failure_domains
-from repro.units import GiB
 
 
-@pytest.fixture(scope="module")
-def testbed():
-    return paper_testbed()
-
-
-def mixed_cluster():
-    """Two racks, two PDUs each: four failure domains."""
-    racks = []
-    for r in range(2):
-        nodes = []
-        for i in range(2):
-            nodes.append(
-                Node(f"c{r}{i}", NodeKind.COMPUTE, f"r{r}", f"p{r}{i % 2}", 4, GiB(1))
-            )
-            nodes.append(
-                Node(
-                    f"s{r}{i}", NodeKind.STORAGE, f"r{r}", f"p{r}{i % 2}",
-                    4, GiB(1), ssd_count=1,
-                )
-            )
-        racks.append(Rack(f"r{r}", nodes))
-    return ClusterSpec(racks)
-
-
-def test_compute_node_crash_kills_only_the_host(testbed):
-    radius = blast_radius(NodeCrash("comp03"), testbed)
-    assert radius.nodes == ("comp03",)
-    assert radius.ssds == () and radius.targets == ()
-    assert radius.domains == ()  # the compute domain has 15 survivors
-
-
-def test_storage_node_crash_takes_its_ssds_and_daemon(testbed):
-    radius = blast_radius(NodeCrash("stor02"), testbed)
-    assert radius.nodes == ("stor02",)
-    assert radius.ssds == ("stor02",)
-    assert radius.targets == ("stor02",)
-
-
-def test_ssd_power_loss_spares_the_host(testbed):
-    radius = blast_radius(SSDPowerLoss("stor00"), testbed)
-    assert radius.ssds == ("stor00",)
-    assert radius.nodes == ()
-
-
-def test_target_death_is_software_only(testbed):
-    radius = blast_radius(NVMfTargetDeath("stor01"), testbed)
-    assert radius.targets == ("stor01",)
-    assert radius.ssds == () and radius.nodes == ()
-
-
-def test_link_degrade_touches_one_link(testbed):
-    radius = blast_radius(LinkDegrade("comp05", factor=0.5), testbed)
-    assert radius.links == ("comp05",)
-    assert radius.nodes == ()
-
-
-def test_tor_switch_failure_isolates_the_rack(testbed):
-    radius = blast_radius(SwitchFailure("switch-rack-storage"), testbed)
-    assert set(radius.nodes) == {f"stor{i:02d}" for i in range(8)}
-    assert set(radius.targets) == set(radius.nodes)
-    assert radius.ssds == ()  # data on media is safe, just unreachable
-    assert radius.domains == ("rack-storage/pdu-storage",)
-
-
-def test_core_switch_failure_degrades_every_host(testbed):
-    radius = blast_radius(SwitchFailure("switch-core"), testbed)
-    assert len(radius.links) == len(testbed.nodes)
-    assert radius.nodes == ()
-
-
-def test_pdu_failure_kills_every_colocated_node_and_ssd():
-    cluster = mixed_cluster()
-    domains = derive_failure_domains(cluster)
-    radius = blast_radius(PDUFailure("r0/p00"), cluster, domains)
-    # Every node on that rack+PDU pair, compute and storage alike.
-    assert set(radius.nodes) == {"c00", "s00"}
-    assert set(radius.ssds) == {"s00"}
-    assert set(radius.targets) == {"s00"}
-    assert radius.domains == ("r0/p00",)
-
-
-def test_pdu_failure_unknown_domain_raises():
-    cluster = mixed_cluster()
-    with pytest.raises(KeyError):
-        blast_radius(PDUFailure("nope/nope"), cluster)
-
-
-def test_without_cluster_radius_degrades_to_the_component():
-    assert blast_radius(NodeCrash("x")) == BlastRadius(nodes=("x",))
-    assert blast_radius(SSDPowerLoss("x")) == BlastRadius(ssds=("x",))
-    assert blast_radius(SwitchFailure("x")) == BlastRadius(links=("x",))
-    assert blast_radius(PDUFailure("d/p")) == BlastRadius(domains=("d/p",))
+def test_compute_node_crash_kills_only_the_host():
+    assert blast_radius(NodeCrash("comp03")) == BlastRadius(nodes=("comp03",))
 
 
 def test_faults_are_hashable_and_comparable():
     assert NodeCrash("a") == NodeCrash("a")
-    assert len({NodeCrash("a"), NodeCrash("a"), SSDPowerLoss("a")}) == 2
-    assert LinkDegrade("a", factor=0.5) != LinkDegrade("a", factor=0.25)
+    assert len({NodeCrash("a"), NodeCrash("a"), LeaderKill("a")}) == 2
+    assert NetworkPartition("a", members=("x",)) != NetworkPartition("a")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 def test_timeout_advances_clock():
@@ -251,39 +251,6 @@ def test_yield_already_processed_event():
     assert order == [(2.0, None)]
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    outcomes = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-            outcomes.append("slept")
-        except Interrupt as intr:
-            outcomes.append(("interrupted", env.now, intr.cause))
-
-    def interrupter(target):
-        yield env.timeout(2.5)
-        target.interrupt(cause="power-loss")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert outcomes == [("interrupted", 2.5, "power-loss")]
-
-
-def test_interrupt_finished_process_is_error():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(0.1)
-
-    proc = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_run_until_complete():
     env = Environment()
 
@@ -342,85 +309,6 @@ def test_clock_monotonicity_under_many_processes():
         env.process(proc(i))
     env.run()
     assert stamps == sorted(stamps)
-
-
-# -- interrupts land on whatever the process waits on then --------------------
-
-
-def _sleeper(env, log):
-    """Sleeps 5 s; on an interrupt, logs it and sleeps 10 s instead."""
-    try:
-        yield env.timeout(5.0)
-    except Interrupt as intr:
-        log.append(("interrupted", intr.cause, env.now))
-    yield env.timeout(10.0)
-    log.append(("woke", env.now))
-
-
-def test_interrupt_detaches_from_a_pending_timeout():
-    env = Environment()
-    log = []
-    target = env.process(_sleeper(env, log))
-
-    def interrupter():
-        yield env.timeout(1.0)
-        target.interrupt("now")
-
-    env.process(interrupter())
-    env.run()
-    # The 5 s timeout must not resume the process a second time.
-    assert log == [("interrupted", "now", 1.0), ("woke", 11.0)]
-    assert env.now == 11.0
-
-
-def test_interrupt_before_the_first_step_lands_after_it():
-    env = Environment()
-    log = []
-    target = env.process(_sleeper(env, log))
-    target.interrupt("early")
-    env.run()
-    assert log == [("interrupted", "early", 0.0), ("woke", 10.0)]
-
-
-def test_interrupt_detaches_from_the_resume_of_a_processed_event():
-    env = Environment()
-    log = []
-    done = env.timeout(0.5)
-
-    def interrupter():
-        yield env.timeout(1.0)
-        target.interrupt("mid")
-
-    def waiter():
-        yield env.timeout(1.0)  # fires after the interrupter's, same step
-        try:
-            yield done  # already processed: resumed by a same-time event
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield env.timeout(2.0)
-        log.append(("woke", env.now))
-
-    env.process(interrupter())
-    target = env.process(waiter())
-    env.run()
-    assert log == [("interrupted", 1.0), ("woke", 3.0)]
-
-
-def test_interrupt_landing_after_its_target_ended_is_dropped():
-    env = Environment()
-
-    def interrupter():
-        yield env.timeout(1.0)
-        target.interrupt("late")
-
-    def quick():
-        yield env.timeout(1.0)  # fires after the interrupter's, same step
-        return "done"
-
-    env.process(interrupter())
-    target = env.process(quick())
-    env.run()
-    assert target.value == "done"
 
 
 # -- cancellable timeouts -------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis.sanitize import SanitizeSession
-from repro.sim import Environment, FairShareServer, Interrupt, Resource
+from repro.sim import Environment, FairShareServer, Resource
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,7 +125,6 @@ _op = st.one_of(
     st.tuples(st.just("join"), st.integers(0, 7)),
     st.tuples(st.just("all"), st.lists(_delay, max_size=3)),
     st.tuples(st.just("any"), st.lists(_delay, min_size=1, max_size=3)),
-    st.tuples(st.just("interrupt"), st.integers(0, 7)),
     st.tuples(st.just("cancel"), st.tuples(_delay, _delay)),
 )
 _workloads = st.lists(st.lists(_op, max_size=4), min_size=1, max_size=6)
@@ -168,29 +167,21 @@ def _observed_run(workload, subset, mode):
 
     def body(i, ops):
         for kind, arg in ops:
-            try:
-                if kind == "timeout":
-                    yield env.timeout(arg)
-                elif kind == "join" and i:
-                    yield procs[arg % i]
-                elif kind in ("all", "any"):
-                    children = [env.timeout(d) for d in arg]
-                    join = env.all_of if kind == "all" else env.any_of
-                    yield join(children)
-                elif kind == "interrupt":
-                    target = procs[arg % len(procs)]
-                    if target is not procs[i] and target.is_alive:
-                        target.interrupt(i)
-                    yield env.timeout(0.0)
-                elif kind == "cancel":
-                    # Raft's node loop: the timer only an any_of waits on
-                    # is cancelled once the any_of returns, whichever won.
-                    first, timer_delay = arg
-                    timer = env.timeout(timer_delay)
-                    yield env.any_of([env.timeout(first), timer])
-                    timer.cancel()
-            except Interrupt as intr:
-                trace.append((i, "interrupted", intr.cause, env.now))
+            if kind == "timeout":
+                yield env.timeout(arg)
+            elif kind == "join" and i:
+                yield procs[arg % i]
+            elif kind in ("all", "any"):
+                children = [env.timeout(d) for d in arg]
+                join = env.all_of if kind == "all" else env.any_of
+                yield join(children)
+            elif kind == "cancel":
+                # Raft's node loop: the timer only an any_of waits on
+                # is cancelled once the any_of returns, whichever won.
+                first, timer_delay = arg
+                timer = env.timeout(timer_delay)
+                yield env.any_of([env.timeout(first), timer])
+                timer.cancel()
             trace.append((i, kind, env.now))
         return i
 

@@ -3,8 +3,6 @@
 import subprocess
 import sys
 
-import pytest
-
 from repro.cli import main as cli_main
 
 
@@ -20,9 +18,20 @@ def test_quickstart_example_compiles_and_imports():
     import examples.multilevel_checkpointing  # noqa: F401
 
 
-@pytest.mark.slow
 def test_quickstart_example_runs():
     import examples.quickstart as demo
+
+    demo.main()
+
+
+def test_multilevel_checkpointing_example_runs():
+    import examples.multilevel_checkpointing as demo
+
+    demo.main()
+
+
+def test_exascale_mtbf_example_runs():
+    import examples.exascale_mtbf as demo
 
     demo.main()
 
